@@ -40,6 +40,7 @@ EXPECTED_ENTRIES = CONFIG_EDITS + 1 + DELETIONS + 1 + NEW_FILES
 
 class BaseUpdate:
     name = "base-update"
+    users = 1  # the administrator's root sandbox
 
     def __init__(self, where: Path, seed: int):
         self.where = where
@@ -48,7 +49,7 @@ class BaseUpdate:
         self.work_done = 0
 
     def setup(self) -> None:
-        from cue import planner, registry
+        from cue import planner
 
         rng, payloads = self.rng, self.payloads
         self.base = self.where / "base"
@@ -72,8 +73,15 @@ class BaseUpdate:
             if path != "/":
                 self.children[parent_of(path)].add(name_of(path))
         self.configs = byte_order(p for p in layer.files if p.startswith("/etc/"))
-        self.registry = registry.Registry(str(self.state))
         self.scratch = str(self.state / "volumes" / "rootsandbox" / planner.ROOT_SANDBOX_USER)
+
+    def start(self) -> None:
+        from cue import registry
+
+        self.registry = registry.Registry(str(self.state))
+
+    def reset(self, index: int) -> None:
+        """Nothing to restore: each cycle commits and clears its own delta."""
 
     # -- one update cycle ----------------------------------------------------------
 

@@ -43,6 +43,7 @@ OUTPUTS = 2
 
 class ClusterJob:
     name = "cluster-job"
+    users = len(USERS)
 
     def __init__(self, where: Path, seed: int):
         self.where = where
@@ -51,21 +52,17 @@ class ClusterJob:
         self.work_done = 0
 
     def setup(self) -> None:
-        from cue import cluster, registry
+        from cue import cluster
 
         rng, payloads = self.rng, self.payloads
         self.base = self.where / "base"
         base = build_base(self.base, rng, payloads, top=20, mid=20, files=50, symlinks=8, extra_dirs=("/home",))
         self.base_files = byte_order(base.files)
-        self.registry = registry.Registry(str(self.where / "state"))
-        self.shared = cluster.SharedLayout(self.where / "shared")
-        self.login_node = cluster.NodeHandle("login", self.base)
-        self.nodes = [cluster.NodeHandle(f"n{i}", self.base) for i in range(NODES)]
+        layout = cluster.SharedLayout(self.where / "shared")
         self.deltas: dict[str, Layer] = {}
         self.hidden: dict[str, str] = {}
         picks = rng.sample(self.base_files, COPIED_UP + 1)
         for user in USERS:
-            self.shared.ensure_user(user)
             delta = Layer()
             home = f"/home/{user}"
             delta.dirs.update((home, f"{home}/in", f"{home}/out"))
@@ -81,7 +78,7 @@ class ClusterJob:
                     delta.files[f"{home}/bulk/part{n:02d}"] = (payloads.fresh(), 1 << 20)
             for path in list(delta.files) + list(delta.whiteouts):
                 delta.dirs.update(ancestors(path))
-            store_layer(self.shared.upper(user), delta, payloads)
+            store_layer(layout.upper(user), delta, payloads)
             self.deltas[user] = delta
             self.hidden[user] = picks[COPIED_UP]
         # the node view a job expects: base, then the user's delta; scratch
@@ -92,6 +89,20 @@ class ClusterJob:
             self.shadows[user].stack(self.deltas[user], top=False)
         untouched = set(picks)
         self.plain_base = [p for p in self.base_files if p not in untouched]
+
+    def start(self) -> None:
+        from cue import cluster, registry
+
+        self.registry = registry.Registry(str(self.where / "state"))
+        self.shared = cluster.SharedLayout(self.where / "shared")
+        for user in USERS:
+            self.shared.ensure_user(user)
+        self.login_node = cluster.NodeHandle("login", self.base)
+        self.nodes = [cluster.NodeHandle(f"n{i}", self.base) for i in range(NODES)]
+
+    def reset(self, index: int) -> None:
+        """Nothing to restore: edits rewrite inputs in place and release
+        discards every node's scratch."""
 
     # -- one job ---------------------------------------------------------------------
 
@@ -171,11 +182,15 @@ class ClusterJob:
             run.check(data == payloads.make(*shadow.files[path]), f"read {path} on {node.node_id}: wrong bytes")
             backing = self.shared.upper(user) if path in self.deltas[user].files else self.base
             run.bare_read(real(backing, path))
-        # a three-layer view folds the shared delta's whiteout away, so the
-        # path is only required to be invisible, not reported as hidden
-        for path in (self.hidden[user], f"{home}/in/missing{index}"):
+        for path, want in ((self.hidden[user], model.ResolutionKind.HIDDEN),
+                           (f"{home}/in/missing{index}", model.ResolutionKind.ABSENT)):
             res = run.timed("stat", view.resolve, path)
-            run.check(not res.found, f"resolve {path} on {node.node_id}: {res.outcome}, expected not found")
+            if want is model.ResolutionKind.HIDDEN and res.outcome is model.ResolutionKind.ABSENT:
+                # known defect: folding three layers drops the shared delta's
+                # whiteout, so the path reads absent; counted and printed
+                run.known_defect(f"resolve {path} on a 3-layer node view: Absent, expected Hidden")
+            else:
+                run.check(res.outcome is want, f"resolve {path} on {node.node_id}: {res.outcome}, expected {want}")
         for k in range(OUTPUTS):
             path = f"{home}/out/job{index:05d}-{node.node_id}-{k}"
             key = payloads.fresh()

@@ -151,6 +151,16 @@ class Shadow:
         self.top: set[str] = set()
         self.hidden: set[str] = set()  # in a lower layer, not visible
 
+    def copy(self) -> "Shadow":
+        other = Shadow.__new__(Shadow)
+        other.files = dict(self.files)
+        other.links = dict(self.links)
+        other.children = {d: set(names) for d, names in self.children.items()}
+        other.below = set(self.below)
+        other.top = set(self.top)
+        other.hidden = set(self.hidden)
+        return other
+
     # -- stacking ----------------------------------------------------------
 
     def stack(self, layer: Layer, *, top: bool) -> None:
@@ -329,6 +339,7 @@ class Run:
         self.messages: list[str] = []
         self.bare_read_ns: list[int] = []
         self.extra: dict[str, list] = {}  # non-time observations, by name
+        self.known_defects: dict[str, int] = {}  # mismatches the program is known to make
 
     def forget_samples(self) -> None:
         """Drop what warm-up measured; failures and counts stay."""
@@ -363,6 +374,11 @@ class Run:
         self.failed += 1
         if len(self.messages) < 20:
             self.messages.append(message)
+
+    def known_defect(self, message: str) -> None:
+        """A mismatch with a known cause in the program: counted and printed,
+        not failed, so the workload still runs and the defect stays visible."""
+        self.known_defects[message] = self.known_defects.get(message, 0) + 1
 
     def bare_read(self, backing: Path) -> None:
         """Time a direct open().read() of a read's backing file (traced runs)."""

@@ -1,17 +1,20 @@
 """Run one benchmark workload against cue's public API and report it.
 
-    python3 perfbench/run.py --workload session --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload session --seed 1 --trace 0
 
-Builds the workload's fixture from the seed (several times, to time set-up),
-then runs units of work in a closed loop with one client until --seconds
-have passed: the next unit starts when the last one returns.  Every output
-is checked; a mismatch counts as a failed operation and makes the exit code
-non-zero.  All state lives in a fresh directory under .perfbench-tmp/ in
-the checkout, removed at exit; only the sandbox backend is used.
+Builds the workload's fixture from the seed, several times, and times how
+long cue takes to come up on each: its objects constructed and each
+user's first unit of work run (set-up time is the median).  Then it runs
+units of work in a closed loop with one client until --seconds have
+passed (default: run_seconds of BENCHMARK.json): the next unit starts
+when the last one returns.  Every output is checked; a mismatch counts as
+a failed operation and makes the exit code non-zero.  All state lives in
+a fresh directory under .perfbench-tmp/ in the checkout, removed at exit;
+only the sandbox backend is used.
 
 With --trace 0 the last line holds the end-to-end metrics named in
 BENCHMARK.json; with --trace 1, the per-layer metrics from a traced run,
-in which every other pair of units runs with the layer wrappers of
+in which every other block of units runs with the layer wrappers of
 tracing.py installed.
 """
 
@@ -34,6 +37,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SETUPS = 3
+# traced and untraced units alternate in blocks of this many, a multiple of
+# every workload's user count, so both sides see every user equally
+TRACE_BLOCK = 4
 OPS = ("read", "stat", "write", "list")
 STEP_KINDS = ("MAKE_DIRS", "OVERLAY_MOUNT", "BIND_MOUNT")
 PHASES = ("recover", "scan", "plan", "stage", "journal", "apply", "clear")
@@ -51,62 +57,68 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=["session", "base-update", "cluster-job"])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--units", type=int, default=None,
                         help="run exactly this many units instead of --seconds (for repeatability checks)")
-    parser.add_argument("--setups", type=int, default=SETUPS,
-                        help="times the fixture is built; set-up time is their median")
     return parser.parse_args(argv)
 
 
 class Measurement:
     """Everything one process measured, before it is turned into metrics."""
 
-    def __init__(self, workload, run, setups_ns, units, elapsed_ns, profile, steps):
+    def __init__(self, workload, run, setups_ns, units, profile, steps):
         self.workload = workload
         self.run = run
         self.setups_ns = setups_ns
         self.units = units  # (duration_ns, traced)
-        self.elapsed_ns = elapsed_ns
         self.profile = profile
         self.steps = steps  # step kind -> [elapsed_us, ...] from traced executions
 
 
-def measure(name: str, seed: int, seconds: float, trace: bool, units, setups: int, scratch: Path) -> Measurement:
+def measure(name: str, seed: int, seconds: float, trace: bool, units, scratch: Path) -> Measurement:
     from common import Run, clock
     from tracing import Profile, Tracer
 
     cls = _workloads()[name]
+    run = Run()
     setups_ns = []
-    for k in range(setups):
-        t0 = clock()
+    healthy = True
+    # set-up time leaves out writing the fixture: that is the harness's own
+    # code, and its time swings with the filesystem's recent deletions
+    for k in range(SETUPS):
         workload = cls(scratch / f"setup{k}", seed)
         workload.setup()
+        gc.collect()
+        gc.freeze()  # as in the timed loop: no collection walks the new fixture
+        t0 = clock()
+        try:
+            workload.start()
+            # each user's first unit: first-time directories, cold caches
+            for index in range(-workload.users, 0):
+                workload.unit(index, run)
+        except Exception:
+            run.fail(f"set-up {k} aborted: {traceback.format_exc()}")
+            healthy = False
+            break
         setups_ns.append(clock() - t0)
+        gc.unfreeze()
     # the spare copies stay on disk until exit, so no run measures right
     # after a mass deletion of its own (see spread_allocations)
+    run.forget_samples()
+    workload.work_done = 0
 
     tracer = Tracer() if trace else None
     profile = Profile()
     steps: dict[str, list[int]] = {}
-    run = Run()
     durations = []
     gc.collect()
     gc.freeze()  # keep the fixture and the expected views out of collections
-    try:
-        workload.unit(-1, run)  # warm-up: first-time directories, cold caches
-        healthy = True
-    except Exception:
-        run.fail(f"warm-up aborted: {traceback.format_exc()}")
-        healthy = False
-    run.forget_samples()
-    workload.work_done = 0
-    start = clock()
-    deadline = start + int(seconds * 1e9)
+    deadline = clock() + int(seconds * 1e9)
     index = 0
     while healthy and ((index < units) if units is not None else (clock() < deadline)):
-        traced = tracer is not None and (index // 2) % 2 == 1
+        workload.reset(index)
+        traced = tracer is not None and (index // TRACE_BLOCK) % 2 == 1
         run.tracer = tracer if traced else None
         if traced:
             tracer.install()
@@ -128,8 +140,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, units, setups: in
                 tracer.flush(profile)
         durations.append((dt, traced))
         index += 1
-    elapsed = clock() - start
-    return Measurement(workload, run, setups_ns, durations, elapsed, profile, steps)
+    return Measurement(workload, run, setups_ns, durations, profile, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def end_to_end(m: Measurement) -> dict[str, float]:
     us = lambda kind, q: _pct(samples.get(kind, []), q) / 1e3
     return {
         "setup_s": statistics.median(m.setups_ns) / 1e9,
-        "throughput_ops_s": m.workload.work_done / (m.elapsed_ns / 1e9),
+        "throughput_ops_s": m.workload.work_done / (sum(d for d, _ in m.units) / 1e9),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "cycle_p50_ms": _pct(cycles, 0.5) / 1e6,
         "read_p50_us": us("read", 0.5),
@@ -257,6 +268,8 @@ def report_samples(m: Measurement) -> None:
     print(f"# {m.workload.name}: {len(m.units)} units, {m.workload.work_done} work items, "
           f"{m.run.attempted} operations, {m.run.failed} failed, closed loop, 1 client")
     print(f"#   fail_ratio {m.run.failed / max(m.run.attempted, 1):.6f}")
+    for message, count in sorted(m.run.known_defects.items()):
+        print(f"#   known defect, {count} times: {message}")
     for name, kind, q, scale, unit in NAMED:
         ordered = samples.get(kind, [])
         if ordered and (q == 0.5 or len(ordered) * (1 - q) >= 10):
@@ -334,13 +347,14 @@ def main(argv=None) -> int:
     for var in ("CUE_STATE_ROOT", "CUE_SHARED_ROOT", "CUE_COMMIT_KILL_AT"):
         os.environ.pop(var, None)
     spec = load_benchmark()
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
 
     parent = ROOT / ".perfbench-tmp"
     parent.mkdir(exist_ok=True)
     spread_allocations(parent)
     scratch = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=parent))
     try:
-        m = measure(args.workload, args.seed, args.seconds, bool(args.trace), args.units, args.setups, scratch)
+        m = measure(args.workload, args.seed, seconds, bool(args.trace), args.units, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
         try:
@@ -350,6 +364,8 @@ def main(argv=None) -> int:
 
     for message in m.run.messages:
         print(f"perfbench: FAILED {message}", file=sys.stderr)
+    if len(m.setups_ns) < SETUPS:
+        return 1
     report_samples(m)
     if args.trace:
         report_layers(m)

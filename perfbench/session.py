@@ -10,15 +10,23 @@ operations, log out.  Reads are Zipf-skewed over one popularity order of
 the base files, so a small hot set dominates.  Every read's bytes, every
 listing and every expected hidden or absent path is checked against a
 shadow of the user's view.
+
+Before each session, untimed, the user's upper and shadow are put back to
+their state after set-up, so what a session measures depends on the seed
+and its index only, not on how many sessions ran before it.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 from pathlib import Path
 
 from common import (
+    OPAQUE_MARKER,
     UPPER,
+    WH_PREFIX,
     Layer,
     Payloads,
     Shadow,
@@ -27,6 +35,7 @@ from common import (
     build_base,
     byte_order,
     log_size,
+    name_of,
     parent_of,
     real,
     store_layer,
@@ -39,6 +48,7 @@ MIX = (("read", 70), ("stat", 8), ("list", 10), ("write", 10), ("remove", 2))
 
 class Session:
     name = "session"
+    users = len(USERS)
 
     def __init__(self, where: Path, seed: int):
         self.where = where
@@ -50,8 +60,6 @@ class Session:
     # -- fixture ---------------------------------------------------------------
 
     def setup(self) -> None:
-        from cue import registry
-
         rng, payloads = self.rng, self.payloads
         self.base = self.where / "base"
         self.state = self.where / "state"
@@ -61,17 +69,28 @@ class Session:
         rng.shuffle(self.order)  # one popularity order shared by all users
         self.zipf = Zipf(len(self.order))
         self.leaf_dirs = sorted(d for d in base.dirs if d.count("/") == 2)
-        self.registry = registry.Registry(str(self.state))
-        self.shadows: dict[str, Shadow] = {}
+        self.graveyard = self.where / "graveyard"
+        self.graveyard.mkdir()
+        self.graves = itertools.count()
         self.uppers: dict[str, Path] = {}
+        self.layers: dict[str, Layer] = {}
+        self.pristine: dict[str, Shadow] = {}
+        self.shadows: dict[str, Shadow] = {}
         for user in USERS:
             upper = self.state / "volumes" / "user" / user / "upper"
             layer = self._customizations(base)
             store_layer(upper, layer, payloads)
             shadow = Shadow(base)
             shadow.stack(layer, top=True)
-            self.shadows[user] = shadow
             self.uppers[user] = upper
+            self.layers[user] = layer
+            self.pristine[user] = shadow
+            self.shadows[user] = shadow.copy()
+
+    def start(self) -> None:
+        from cue import registry
+
+        self.registry = registry.Registry(str(self.state))
 
     def _customizations(self, base: Layer) -> Layer:
         """200 customized files, 20 whiteouts, one opaque directory."""
@@ -96,6 +115,33 @@ class Session:
         for path in list(layer.files) + list(layer.whiteouts):
             layer.dirs.update(ancestors(path))
         return layer
+
+    def reset(self, index: int) -> None:
+        """Put the next session's user back to their state after set-up."""
+        user = USERS[index % len(USERS)]
+        upper, layer = self.uppers[user], self.layers[user]
+        shadow = self.shadows[user]
+        for path, entry in layer.files.items():
+            if shadow.files.get(path) != entry:  # rewritten or removed last session
+                self.payloads.write(real(upper, path), *entry)
+        keep = set(layer.files) | layer.dirs
+        keep |= {f"{parent_of(p).rstrip('/')}/{WH_PREFIX}{name_of(p)}" for p in layer.whiteouts}
+        keep |= {f"{d}/{OPAQUE_MARKER}" for d in layer.opaque}
+        # copy-ups, new whiteouts and the directories they needed are moved
+        # out, not deleted: on ext4 without a journal, freeing inodes slows
+        # the file creations that follow, which would charge this untimed
+        # step to the next session's writes
+        stack = [(upper, "")]
+        while stack:
+            directory, prefix = stack.pop()
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    path = f"{prefix}/{entry.name}"
+                    if path not in keep:
+                        os.rename(entry.path, self.graveyard / str(next(self.graves)))
+                    elif entry.is_dir(follow_symlinks=False):
+                        stack.append((entry.path, path))
+        self.shadows[user] = self.pristine[user].copy()
 
     # -- one session -------------------------------------------------------------
 

@@ -1,13 +1,13 @@
 """Run the benchmark several times and summarize the spread.
 
     python3 perfbench/sweep.py --runs 10 --seed 1
-    python3 perfbench/sweep.py --workload session --runs 5 --trace-runs 0
+    python3 perfbench/sweep.py --workload session --runs 5
 
 Each run is a separate `run.py` process with its own seed (seed, seed+1,
 ...), one after another.  For every end-to-end metric the summary shows the
 median and quartiles over the runs and the quartile spread as a share of
-the median, against the metric's bound in BENCHMARK.json.  The traced runs
-then give each workload's share of self time per layer, so a later change
+the median, against the metric's bound in BENCHMARK.json.  One traced run
+per workload then gives its share of self time per layer, so a later change
 can point at the layer its saving came from.  Exits non-zero if any run
 failed a correctness check.
 """
@@ -55,26 +55,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="workload to run (repeatable; default all three)")
     parser.add_argument("--runs", type=int, default=1)
-    parser.add_argument("--trace-runs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--out", default=None, help="also write every run's result as JSON")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds or spec["run_seconds"]
     workloads = args.workload or list(WORKLOADS)
 
-    results: dict[str, dict[str, list]] = {}
-    ok = True
+    plain: dict[str, list[dict]] = {}
+    traced: dict[str, dict] = {}
     for workload in workloads:
-        plain = [one_run(workload, args.seed + i, seconds, 0) for i in range(args.runs)]
-        traced = [one_run(workload, args.seed + i, seconds, 1) for i in range(args.trace_runs)]
-        results[workload] = {"plain": plain, "traced": traced}
-        ok = ok and all(r["correct"] for r in plain + traced)
+        plain[workload] = [one_run(workload, args.seed + i, seconds, 0) for i in range(args.runs)]
+        traced[workload] = one_run(workload, args.seed, seconds, 1)
+    ok = all(r["correct"] for w in workloads for r in (*plain[w], traced[w]))
 
     for workload in workloads:
-        runs = results[workload]["plain"]
+        runs = plain[workload]
         attempted = sum(r["attempted"] for r in runs)
         failed = sum(r["failed"] for r in runs)
         wall = max(r["wall_s"] for r in runs)
@@ -90,24 +87,12 @@ def main(argv=None) -> int:
                   f"q1 {q1:14.4f}  q3 {q3:14.4f}  spread {rel:7.3f} / bound {entry['bound']:.2f} {flag}")
 
     layers = ("model", "diskfs", "planner", "executor", "registry", "commit", "cluster", "bench")
-    traced = {w: results[w]["traced"] for w in workloads if results[w]["traced"]}
-    if traced:
-        print("== traced runs: share of self time per layer (%), median over traced runs")
-        print("   " + f"{'layer':<10}" + "".join(f"{w:>14}" for w in traced))
-        for layer in layers:
-            cells = []
-            for runs in traced.values():
-                values = [r["metrics"][f"{layer}.self_pct"]["value"] for r in runs if r["metrics"]]
-                cells.append(f"{statistics.median(values):14.1f}" if values else f"{'-':>14}")
-            print(f"   {layer:<10}" + "".join(cells))
-        for name in ("commit.total_pct", "trace.overhead_ratio", "cluster.deploy_size_ratio"):
-            cells = []
-            for runs in traced.values():
-                values = [r["metrics"][name]["value"] for r in runs if r["metrics"]]
-                cells.append(f"{statistics.median(values):14.3f}" if values else f"{'-':>14}")
-            print(f"   {name:<10}" + "".join(cells))
-    if args.out:
-        Path(args.out).write_text(json.dumps(results, indent=1), encoding="utf-8")
+    print("== traced run: share of self time per layer (%)")
+    print("   " + f"{'layer':<22}" + "".join(f"{w:>14}" for w in workloads))
+    for name in (*(f"{layer}.self_pct" for layer in layers), "commit.total_pct",
+                 "trace.overhead_ratio", "cluster.deploy_size_ratio"):
+        cells = [traced[w]["metrics"].get(name, {}).get("value") for w in workloads]
+        print(f"   {name:<22}" + "".join(f"{'-':>14}" if v is None else f"{v:14.3f}" for v in cells))
     return 0 if ok else 1
 
 

@@ -17,13 +17,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-UNITS = {"session": 4, "base-update": 4, "cluster-job": 4}
+UNITS = 8  # one untraced and one traced block of run.py's TRACE_BLOCK units
+WORKLOADS = ("session", "base-update", "cluster-job")
 COUNT_UNITS = ("count", "B")
 
 
 def traced_run(workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
-           "--units", str(UNITS[workload]), "--setups", "1", "--trace", "1"]
+           "--units", str(UNITS), "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -39,6 +40,7 @@ def check_workload(workload: str) -> None:
     first, second = traced_run(workload, 7), traced_run(workload, 7)
     assert first["attempted"] == second["attempted"]
     assert counts(first) == counts(second)
+    assert counts(first)["diskfs.read.stat_calls"] > 0
     if workload == "base-update":
         assert counts(first)["commit.entries"] == 37
         assert counts(first)["commit.base_nodes_loaded"] > 40_000
@@ -67,6 +69,6 @@ def test_spec_matches_benchmark():
 
 if __name__ == "__main__":
     test_spec_matches_benchmark()
-    for name in UNITS:
+    for name in WORKLOADS:
         check_workload(name)
         print(f"{name}: counts repeat")

@@ -1,9 +1,13 @@
 """Layer-attributed tracing from outside the program.
 
-The tracer wraps the public functions and methods of each cue module (one
-module is one layer) and records a span per call: name, layer, start,
-end and parent span.  A span's self time is its duration minus the time
-its child spans cover.  Calls to os.stat/lstat, os.scandir, open,
+The tracer wraps the public functions and methods at each cue module's
+boundary (one module is one layer) and records a span per call: name,
+layer, start, end and parent span.  Small helpers called many times per
+operation (model.split_path, join_path, normalize, LayerTree.get, ...) are
+not wrapped, since a wrapper costs about as much as they do: their time
+counts to the span that calls them, so model's path and tree helpers
+called from diskfs count as diskfs.  A span's self time is its duration
+minus the time its child spans cover.  Calls to os.stat/lstat, os.scandir, open,
 os.replace and os.fsync are counted and charged to the innermost open
 span.  Where one cue module imported another's function by name, the
 wrapper is installed at that binding too, so every call site is seen.
@@ -31,15 +35,10 @@ def _layer_table():
         "model": (
             model,
             (
-                "split_path", "join_path", "normalize", "is_strict_prefix",
-                "content_checksum", "empty_tree", "resolve", "write_file",
-                "remove", "list_dir", "flatten", "stage_merge",
-                "apply_journal", "merge_down",
+                "content_checksum", "resolve", "write_file", "remove", "list_dir",
+                "flatten", "stage_merge", "apply_journal", "merge_down",
             ),
-            {
-                model.LayerTree: ("get", "contains", "set", "delete", "walk", "node_count"),
-                model.LayerStack: ("__post_init__",),
-            },
+            {},
         ),
         "diskfs": (
             diskfs,
