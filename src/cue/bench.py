@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .diskfs import DiskOverlay, tree_bytes
 from .errors import CommandNotFound, InsufficientSpace
-from .executor import Backend, execute, teardown
+from .executor import Backend, _now_us, execute, teardown
 from .planner import default_config, plan_create
 from .registry import ContainerRecord, Registry
 
@@ -120,10 +120,6 @@ class BenchReport:
         for i, sample in enumerate(self.baseline_samples):
             lines.append(f"{self.scenario}-baseline,{i},{sample}")
         return "\n".join(lines) + "\n"
-
-
-def _now_us() -> int:
-    return time.perf_counter_ns() // 1000
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +482,6 @@ def bench_exec(
         raise CommandNotFound(command[0])
     command[0] = resolved
     state_root = str(state_root)
-    registry = Registry(state_root)
 
     plan = plan_create(
         default_config("bench-exec", state_root=state_root, host_root=host_root)

@@ -321,7 +321,7 @@ def cmd_deploy(args) -> int:
         for node in result.per_node:
             detail = f" ({node.detail})" if node.detail else ""
             print(f"{node.node_id} {node.status}{detail} [{node.elapsed_us} us]")
-    return 0
+    return 11 if any(n.status == "Failed" for n in result.per_node) else 0
 
 
 def cmd_release(args) -> int:

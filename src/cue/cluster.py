@@ -14,17 +14,17 @@ declared in a nodes.json manifest ([{"node_id": ..., "node_root": ...}]).
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .diskfs import DiskOverlay
-from .errors import NotFound, SharedStorageUnavailable
-from .executor import Backend, execute
-from .planner import ContainerConfig, MaskMode, plan_create
+from .errors import InvalidConfig, NotFound, SharedStorageUnavailable
+from .executor import Backend, _now_us, execute
+from .planner import _USER_RE, ContainerConfig, MaskMode, plan_create
 from .registry import ContainerRecord, Registry
 
 __all__ = [
@@ -41,13 +41,22 @@ __all__ = [
 
 SHARED_ROOT_ENV = "CUE_SHARED_ROOT"
 
+# user and node ids become path components under the shared and state roots
+_NODE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+def _check_id(field: str, value: str, pattern: re.Pattern) -> str:
+    if not isinstance(value, str) or not pattern.match(value):
+        raise InvalidConfig(field, f"not a valid {field}: {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class SharedLayout:
     shared_root: Path
 
     def user_dir(self, user: str) -> Path:
-        return Path(self.shared_root) / "users" / user
+        return Path(self.shared_root) / "users" / _check_id("user", user, _USER_RE)
 
     def upper(self, user: str) -> Path:
         return self.user_dir(user) / "upper"
@@ -56,6 +65,7 @@ class SharedLayout:
         return self.user_dir(user) / "work"
 
     def ensure_user(self, user: str) -> None:
+        upper, work = self.upper(user), self.work(user)
         root = Path(self.shared_root)
         try:
             root.mkdir(parents=True, exist_ok=True)
@@ -63,8 +73,8 @@ class SharedLayout:
             raise SharedStorageUnavailable(f"{root}: {err}") from err
         if not root.is_dir():
             raise SharedStorageUnavailable(f"not a directory: {root}")
-        self.upper(user).mkdir(parents=True, exist_ok=True)
-        self.work(user).mkdir(parents=True, exist_ok=True)
+        upper.mkdir(parents=True, exist_ok=True)
+        work.mkdir(parents=True, exist_ok=True)
 
 
 @dataclass(frozen=True)
@@ -72,14 +82,20 @@ class NodeHandle:
     node_id: str
     node_root: Path
 
+    def __post_init__(self) -> None:
+        _check_id("node_id", self.node_id, _NODE_ID_RE)
+
     def validate(self) -> None:
         if not Path(self.node_root).is_dir():
             raise NotFound(f"node root missing: {self.node_root}")
 
 
 def load_manifest(path: str | Path) -> list[NodeHandle]:
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [NodeHandle(e["node_id"], Path(e["node_root"])) for e in entries]
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        return [NodeHandle(e["node_id"], Path(e["node_root"])) for e in entries]
+    except (ValueError, KeyError, TypeError) as err:
+        raise InvalidConfig("nodes", f"malformed manifest {path}: {err!r}") from err
 
 
 @dataclass(frozen=True)
@@ -113,12 +129,8 @@ class DeploymentResult:
         )
 
 
-def _now_us() -> int:
-    return time.perf_counter_ns() // 1000
-
-
 def _deploy_dir(state_root: Path, user: str, node_id: str) -> Path:
-    return Path(state_root) / "cluster" / user / f"node-{node_id}"
+    return Path(state_root) / "cluster" / _check_id("user", user, _USER_RE) / f"node-{node_id}"
 
 
 def attach_login(
@@ -186,9 +198,10 @@ def deploy_job(
     by a per-node scratch layer.  Nothing is copied; partial failure leaves
     the other nodes attached.  pre_hook/post_hook shell out around the
     whole attachment (the scheduler prolog/epilog seam)."""
+    upper = shared.upper(user)
     if not Path(shared.shared_root).is_dir():
         raise SharedStorageUnavailable(str(shared.shared_root))
-    if not shared.upper(user).is_dir():
+    if not upper.is_dir():
         raise NotFound(f"no shared upper layer for user {user!r}")
     _run_hook(pre_hook)
     statuses: list[NodeStatus] = []
@@ -205,7 +218,7 @@ def deploy_job(
                 "user": user,
                 "node_id": node.node_id,
                 "node_root": str(node.node_root),
-                "shared_upper": str(shared.upper(user)),
+                "shared_upper": str(upper),
                 "scratch": str(deploy / "scratch"),
                 "merged": str(deploy / "merged"),
             }

@@ -255,21 +255,21 @@ def _apply(journal_path: Path, header: dict, entries, hook: FaultHook) -> None:
         hook("apply-entry", index)
         real = lower.joinpath(*model.split_path(entry.path))
         if entry.op is JournalOp.DELETE_FROM_LOWER:
-            _rm(real)
+            diskfs._rm_real(real)
         elif entry.op is JournalOp.COPY_TO_LOWER:
             if entry.checksum is None:
                 if not (real.is_dir() and not real.is_symlink()):
-                    _rm(real)
+                    diskfs._rm_real(real)
                     real.mkdir()
             else:
                 link_payload = _payload_path(staging, entry.checksum, symlink=True)
                 if link_payload.exists():
-                    _rm(real)
+                    diskfs._rm_real(real)
                     os.symlink(link_payload.read_text(encoding="utf-8"), real)
                 else:
                     payload = _payload_path(staging, entry.checksum, symlink=False)
                     tmp = real.with_name(real.name + ".cue-apply-tmp")
-                    _rm(real)
+                    diskfs._rm_real(real)
                     shutil.copyfile(payload, tmp)
                     os.replace(tmp, real)
         # MARK_OPAQUE_APPLIED: realized by the surrounding deletes
@@ -280,22 +280,11 @@ def _apply(journal_path: Path, header: dict, entries, hook: FaultHook) -> None:
     shutil.rmtree(staging, ignore_errors=True)
 
 
-def _rm(real: Path) -> None:
-    try:
-        real.lstat()
-    except OSError:
-        return
-    if real.is_dir() and not real.is_symlink():
-        shutil.rmtree(real)
-    else:
-        real.unlink()
-
-
 def _clear_dir(path: Path) -> None:
     if not path.is_dir():
         return
     for child in path.iterdir():
-        _rm(child)
+        diskfs._rm_real(child)
 
 
 def recover(journal_dir: str | Path) -> list[tuple[Path, JournalState]]:

@@ -6,23 +6,30 @@ the lower entry `<name>`, a `.wh..wh..opq` file inside a directory makes
 it opaque (kernel overlayfs markers need mknod/xattr privileges).  Names
 starting with `.wh.` are therefore reserved inside layers.
 
-DiskOverlay materializes nothing up front: every access loads just the
-path slices it needs from each layer, lets the pure model decide what the
-merged view contains, and writes the resulting upper-layer delta back.
-Lower layers are consulted on every miss, so base updates are visible to
-the next lookup; only upper files this view wrote or resolved itself are
-path-cached (an upper hit can never be masked by later lower changes).
-
 A view stacks one writable upper over one or more lowers, bottom first;
 non-bottom lowers keep their markers, so a user's shared delta can sit
 read-only between a node root and a scratch upper.
+
+DiskOverlay materializes nothing up front: it hands each layer directory
+to the pure model as a lazy Directory, and the model's lookup walk
+decides the view for any number of layers.  Top-down, per component,
+the topmost layer with an entry wins; a whiteout or an opaque directory
+cuts off the layers below it (a path a cut-off layer holds is Hidden: on
+a node view, a base path the shared delta removed), a file or symlink
+shadows them (Absent).  Lower layers are read on every lookup, so base
+updates show at once; only upper files this view wrote or resolved are
+path-cached (an upper hit can never be masked by later lower changes).
+Writes diff concrete per-layer slices of the path, as the model updates
+them, back into the upper directory.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import stat as stat_m
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,68 +53,164 @@ __all__ = ["WH_PREFIX", "OPAQUE_MARKER", "DiskOverlay", "load_tree", "store_tree
 WH_PREFIX = ".wh."
 OPAQUE_MARKER = ".wh..wh..opq"
 
-
-def _is_marker(name: str) -> bool:
-    return name.startswith(WH_PREFIX)
-
-
-def _whiteout_marker(name: str) -> str:
-    return WH_PREFIX + name
+# shapes of lazily read entries: content and targets are read by _plain
+_FILE = RegularFile()
+_LINK = Symlink("")
+_WHITEOUT = Whiteout()
 
 
 def _check_component_names(parts: tuple[str, ...]) -> None:
     for part in parts:
-        if _is_marker(part):
+        if part.startswith(WH_PREFIX):
             raise ReservedName(f"{part!r} collides with the whiteout marker namespace")
+
+
+def _exists(real: str) -> bool:
+    try:
+        os.lstat(real)
+    except OSError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# layer directories as lazy model nodes
+
+class _LayerEntries(Mapping):
+    """One layer directory's entries, read when asked for and never cached.
+
+    get() costs one lstat (plus the `.wh.` probe on a miss where markers
+    count); iterating costs one scandir, with no lstat per entry.
+    """
+
+    def __init__(self, path: str, marker_aware: bool):
+        self.prefix = os.path.join(path, "")  # "/" stays "/", "/x" becomes "/x/"
+        self.marker_aware = marker_aware
+
+    def get(self, name: str, default=None):
+        if name.startswith(WH_PREFIX):
+            return default
+        real = self.prefix + name
+        try:
+            mode = os.lstat(real).st_mode
+        except OSError:
+            if self.marker_aware and _exists(self.prefix + WH_PREFIX + name):
+                return _WHITEOUT
+            return default
+        if stat_m.S_ISDIR(mode):
+            return _LayerDir(real, self.marker_aware)
+        if stat_m.S_ISLNK(mode):
+            return _LINK
+        if stat_m.S_ISREG(mode):
+            return _FILE
+        return default  # sockets, devices: not modeled; reachable only via bind mounts
+
+    def __getitem__(self, name: str) -> Node:
+        node = self.get(name)
+        if node is None:
+            raise KeyError(name)
+        return node
+
+    def items(self):
+        nodes: dict[str, Node] = {}
+        names: set[str] = set()
+        markers: list[str] = []
+        try:
+            with os.scandir(self.prefix) as scan:
+                entries = list(scan)
+        except FileNotFoundError:
+            entries = []  # a missing directory lists as empty
+        for entry in entries:
+            name = entry.name
+            names.add(name)
+            if name.startswith(WH_PREFIX):
+                if name != OPAQUE_MARKER:
+                    markers.append(name[len(WH_PREFIX):])
+            elif entry.is_dir(follow_symlinks=False):
+                nodes[name] = _LayerDir(entry.path, self.marker_aware)
+            elif entry.is_symlink():
+                nodes[name] = _LINK
+            elif entry.is_file(follow_symlinks=False):
+                nodes[name] = _FILE
+        if self.marker_aware:
+            for target in markers:
+                if target and target not in names:
+                    nodes[target] = _WHITEOUT
+        return nodes.items()
+
+    def __iter__(self):
+        return iter(dict(self.items()))
+
+    def __len__(self) -> int:
+        return len(self.items())
+
+
+class _LayerDir(Directory):
+    """A layer directory whose entries and opaque marker are read from disk
+    on each access."""
+
+    def __init__(self, path: str, marker_aware: bool):
+        object.__setattr__(self, "children", _LayerEntries(path, marker_aware))
+
+    @property
+    def opaque(self) -> bool:  # type: ignore[override]
+        entries = self.children
+        return entries.marker_aware and _exists(entries.prefix + OPAQUE_MARKER)
+
+
+def _plain(node: Node, real: str, *, content: bool = False) -> Node:
+    """A plain value for a lazily read node: a directory without children,
+    a symlink with its target, a file with its content if content."""
+    if isinstance(node, Directory):
+        return Directory(children={}, opaque=node.opaque)
+    if isinstance(node, Symlink):
+        return Symlink(os.readlink(real))
+    if isinstance(node, RegularFile) and content:
+        with open(real, "rb") as fh:
+            return RegularFile(fh.read())
+    return node
+
+
+def _load_slice(layer: _LayerDir, parts: tuple[str, ...], *, content: bool, children: bool) -> LayerTree:
+    """Concrete tree of one layer along parts: the ancestor chain, plus the
+    target's content and, optionally, its shallow children."""
+    chain: list[Node] = [layer]
+    for name in parts:
+        node = chain[-1].children.get(name) if isinstance(chain[-1], Directory) else None
+        if node is None:
+            break
+        chain.append(node)
+    real = os.path.join(layer.children.prefix, *parts[: len(chain) - 1])
+    reached = len(chain) == len(parts) + 1
+    target = chain[-1]
+    node = _plain(target, real, content=content and reached)
+    if children and reached and isinstance(target, Directory):
+        kids = {name: _plain(child, real + "/" + name) for name, child in target.children.items()}
+        node = Directory(children=kids, opaque=node.opaque)  # type: ignore[union-attr]
+    for name, parent in zip(reversed(parts[: len(chain) - 1]), reversed(chain[:-1])):
+        node = Directory(children={name: node}, opaque=parent.opaque)  # type: ignore[union-attr]
+    assert isinstance(node, Directory)
+    return LayerTree(root=node)
 
 
 # ---------------------------------------------------------------------------
 # whole-tree load/store (commit, tests, small trees)
 
-def _classify(real: Path, *, deep: bool, marker_aware: bool) -> Optional[Node]:
-    try:
-        st = real.lstat()
-    except OSError:
-        return None
-    if stat_m.S_ISLNK(st.st_mode):
-        return Symlink(os.readlink(real))
-    if stat_m.S_ISDIR(st.st_mode):
-        opaque = marker_aware and (real / OPAQUE_MARKER).exists()
-        return Directory(children={}, opaque=opaque)
-    if stat_m.S_ISREG(st.st_mode):
-        return RegularFile(real.read_bytes() if deep else b"")
-    return None  # sockets, devices: not modeled; reachable only via bind mounts
-
-
 def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> LayerTree:
     """Read a whole layer directory into a model tree."""
-    root = Path(root)
+    root = str(root)
+    if not os.path.isdir(root):
+        raise FileNotFoundError(errno.ENOENT, "no layer directory", root)
 
-    def load_dir(real: Path) -> Directory:
-        opaque = marker_aware and (real / OPAQUE_MARKER).exists()
+    def load(d: _LayerDir) -> Directory:
         children: dict[str, Node] = {}
-        whiteouts: set[str] = set()
-        entries = {}
-        for entry in os.scandir(real):
-            entries[entry.name] = entry
-        for name in entries:
-            if name == OPAQUE_MARKER:
-                continue
-            if _is_marker(name):
-                target = name[len(WH_PREFIX):]
-                if marker_aware and target and target not in entries:
-                    whiteouts.add(target)
-                continue
-            child = _classify(real / name, deep=deep, marker_aware=marker_aware)
-            if isinstance(child, Directory):
-                child = load_dir(real / name)
-            if child is not None:
-                children[name] = child
-        for name in whiteouts:
-            children[name] = Whiteout()
-        return Directory(children=children, opaque=opaque)
+        for name, child in d.children.items():
+            real = d.children.prefix + name
+            deep_child = isinstance(child, _LayerDir)
+            children[name] = load(child) if deep_child else _plain(child, real, content=deep)
+        return Directory(children=children, opaque=d.opaque)
 
-    return LayerTree(root=load_dir(root))
+    return LayerTree(root=load(_LayerDir(root, marker_aware)))
 
 
 def store_tree(tree: LayerTree, root: Path, *, marker_aware: bool = True) -> None:
@@ -126,7 +229,7 @@ def store_tree(tree: LayerTree, root: Path, *, marker_aware: bool = True) -> Non
             if isinstance(child, Whiteout):
                 if not marker_aware:
                     raise ValueError("plain tree cannot carry whiteouts")
-                (real / _whiteout_marker(name)).touch()
+                (real / (WH_PREFIX + name)).touch()
             elif isinstance(child, RegularFile):
                 target.write_bytes(child.content)
             elif isinstance(child, Symlink):
@@ -154,81 +257,6 @@ def tree_bytes(root: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# slice loading (lazy per-path access)
-
-def _load_slice(
-    layer_root: Path,
-    parts: tuple[str, ...],
-    *,
-    marker_aware: bool,
-    content_at_target: bool,
-    children_at_target: bool,
-) -> LayerTree:
-    """Minimal tree holding the ancestor chain of parts (plus, optionally,
-    the target's content and shallow children)."""
-    tree = model.empty_tree()
-    real = Path(layer_root)
-    node = _classify(real, deep=False, marker_aware=marker_aware)
-    if not isinstance(node, Directory):
-        return tree
-    tree = LayerTree(root=node)
-
-    reached = True
-    for depth, name in enumerate(parts):
-        parent_real = real
-        real = real / name
-        is_target = depth == len(parts) - 1
-        child = _classify(
-            real,
-            deep=content_at_target and is_target,
-            marker_aware=marker_aware,
-        )
-        if child is None and marker_aware and (parent_real / _whiteout_marker(name)).exists():
-            child = Whiteout()
-        if child is None:
-            reached = False
-            break
-        prefix = model.join_path(parts[: depth + 1])
-        tree = tree.set(prefix, child)
-        if not isinstance(child, Directory):
-            reached = is_target
-            break
-
-    if children_at_target and reached:
-        target_path = model.join_path(parts)
-        target = tree.get(target_path) if parts else tree.root
-        if isinstance(target, Directory):
-            real_target = Path(layer_root).joinpath(*parts)
-            loaded = _shallow_children(real_target, marker_aware=marker_aware)
-            filled = Directory(children=loaded, opaque=target.opaque)
-            tree = tree.set(target_path, filled) if parts else LayerTree(root=filled)
-    return tree
-
-
-def _shallow_children(real: Path, *, marker_aware: bool) -> dict[str, Node]:
-    children: dict[str, Node] = {}
-    whiteouts: set[str] = set()
-    try:
-        names = {entry.name for entry in os.scandir(real)}
-    except OSError:
-        return children
-    for name in names:
-        if name == OPAQUE_MARKER:
-            continue
-        if _is_marker(name):
-            target = name[len(WH_PREFIX):]
-            if marker_aware and target and target not in names:
-                whiteouts.add(target)
-            continue
-        child = _classify(real / name, deep=False, marker_aware=marker_aware)
-        if child is not None:
-            children[name] = child
-    for name in whiteouts:
-        children[name] = Whiteout()
-    return children
-
-
-# ---------------------------------------------------------------------------
 # the merged view
 
 class DiskOverlay:
@@ -251,6 +279,7 @@ class DiskOverlay:
         for _, mode in self.masks:
             if mode not in ("empty", "ro"):
                 raise ValueError(f"mask mode must be empty|ro, got {mode!r}")
+        self._roots = [str(p) for p in (*self.lowers, self.upper)]
         self._file_cache: dict[str, Path] = {}
 
     # -- masks ------------------------------------------------------------
@@ -270,68 +299,31 @@ class DiskOverlay:
         if mask is not None:
             raise ReadOnlyView(f"path is masked {mask[1]}: {path}")
 
-    # -- stack assembly ---------------------------------------------------
+    # -- layers -------------------------------------------------------------
 
-    def _stack_at(
-        self,
-        parts: tuple[str, ...],
-        *,
-        content: bool = False,
-        children: bool = False,
-    ) -> LayerStack:
-        merged_lower = _load_slice(
-            self.lowers[0],
-            parts,
-            marker_aware=False,
-            content_at_target=content,
-            children_at_target=children,
-        )
-        for mid in self.lowers[1:]:
-            mid_slice = _load_slice(
-                mid,
-                parts,
-                marker_aware=True,
-                content_at_target=content,
-                children_at_target=children,
-            )
-            merged_lower = model.flatten(LayerStack(lower=merged_lower, upper=mid_slice))
-        upper_slice = _load_slice(
-            self.upper,
-            parts,
-            marker_aware=True,
-            content_at_target=content,
-            children_at_target=children,
-        )
-        return LayerStack(lower=merged_lower, upper=upper_slice)
+    def _layers(self) -> list[_LayerDir]:
+        """Every layer as a lazy directory, bottom first; the bottom one
+        carries no markers."""
+        return [_LayerDir(root, i > 0) for i, root in enumerate(self._roots)]
 
-    def _resolve_layer(self, parts: tuple[str, ...], *, content: bool) -> tuple[Resolution, Optional[Path]]:
-        """Resolution plus the backing layer directory for found nodes."""
-        path = model.join_path(parts)
-        layers = [*self.lowers, self.upper]
-        # fold bottom-up, remembering which layer provided the hit
+    def _real(self, layer: int, parts: tuple[str, ...]) -> str:
+        return os.path.join(self._roots[layer], *parts)
+
+    def _found(self, path: str) -> Resolution:
+        """Resolution of a normalized path that must exist in the view."""
+        res = model.lookup(self._layers(), path)
+        if not res.found:
+            raise (HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath)(path)
+        return res
+
+    def _stack_at(self, parts: tuple[str, ...], *, content: bool = False,
+                  children: bool = False) -> LayerStack:
+        """Concrete slices of parts in every layer, for the write path."""
         slices = [
-            _load_slice(
-                layer,
-                parts,
-                marker_aware=(i > 0),
-                content_at_target=content,
-                children_at_target=False,
-            )
-            for i, layer in enumerate(layers)
+            _load_slice(layer, parts, content=content and i == len(self._roots) - 1, children=children)
+            for i, layer in enumerate(self._layers())
         ]
-        merged = slices[0]
-        res = model.resolve(LayerStack(lower=merged, upper=model.empty_tree()), path)
-        origin_dir: Optional[Path] = layers[0] if res.found else None
-        for i in range(1, len(layers)):
-            stack = LayerStack(lower=merged, upper=slices[i])
-            nxt = model.resolve(stack, path)
-            if nxt.outcome is ResolutionKind.FOUND_UPPER:
-                origin_dir = layers[i]
-            elif nxt.outcome is not ResolutionKind.FOUND_LOWER:
-                origin_dir = None
-            merged = model.flatten(stack)
-            res = nxt
-        return res, origin_dir
+        return LayerStack(lower=slices[0], upper=slices[-1], middle=tuple(slices[1:-1]))
 
     # -- read side ----------------------------------------------------------
 
@@ -345,34 +337,36 @@ class DiskOverlay:
             return Resolution(ResolutionKind.ABSENT)
         cached = self._file_cache.get(path)
         if cached is not None:
-            return Resolution(ResolutionKind.FOUND_UPPER, RegularFile(cached.read_bytes()))
-        res, origin = self._resolve_layer(parts, content=True)
+            node = RegularFile(cached.read_bytes())
+            return Resolution(ResolutionKind.FOUND_UPPER, node, len(self._roots) - 1)
+        res = model.lookup(self._layers(), path)
+        if not res.found:
+            return res
+        real = self._real(res.layer, parts)  # type: ignore[arg-type]
+        res = Resolution(res.outcome, _plain(res.node, real, content=True), res.layer)
         if (
             res.outcome is ResolutionKind.FOUND_UPPER
-            and origin == self.upper
             and isinstance(res.node, RegularFile)
             and mask is None
             and not self.read_only
         ):
-            self._file_cache[path] = self.upper.joinpath(*parts)
+            self._file_cache[path] = Path(real)
         return res
 
     def real_path(self, path: str) -> Path:
         """Backing file of a resolvable regular file or symlink (any layer)."""
         parts = model.split_path(path)
-        cached = self._file_cache.get(model.join_path(parts))
+        path = model.join_path(parts)
+        cached = self._file_cache.get(path)
         if cached is not None:
             return cached
-        mask = self._mask_at(model.join_path(parts))
+        mask = self._mask_at(path)
         if mask is not None and mask[1] == "empty":
             raise AbsentPath(path)
-        res, origin = self._resolve_layer(parts, content=False)
-        if not res.found:
-            raise (HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath)(path)
+        res = self._found(path)
         if isinstance(res.node, Directory):
             raise NotADirectory(f"not a regular file: {path}")
-        assert origin is not None
-        return origin.joinpath(*parts)
+        return Path(self._real(res.layer, parts))  # type: ignore[arg-type]
 
     def read_file(self, path: str) -> bytes:
         cached = self._file_cache.get(path)
@@ -388,8 +382,7 @@ class DiskOverlay:
             if path == mask[0]:
                 return []
             raise AbsentPath(path)
-        stack = self._stack_at(parts, children=True)
-        return model.list_dir(stack, path)
+        return model.merged_listing(self._layers(), path)
 
     # -- write side ---------------------------------------------------------
 
@@ -422,20 +415,18 @@ class DiskOverlay:
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        res, origin = self._resolve_layer(parts, content=False)
-        if not res.found:
-            raise (HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath)(path)
+        res = self._found(path)
         if not isinstance(res.node, RegularFile):
             raise NotADirectory(f"not a regular file: {path}")
-        assert origin is not None
         real = self.upper.joinpath(*parts)
-        if origin != self.upper:
+        if res.outcome is not ResolutionKind.FOUND_UPPER:
             # copy-up: ancestors shallowly, then stream the content across
-            stack = self._stack_at(parts, content=False)
+            stack = self._stack_at(parts)
             placeholder = model.write_file(stack, path, b"")
             self._apply_upper_diff(stack.upper, placeholder.upper)
-            with open(origin.joinpath(*parts), "rb") as src, open(real, "wb") as dst:
-                shutil.copyfileobj(src, dst, 1024 * 1024)
+            with open(self._real(res.layer, parts), "rb") as src:  # type: ignore[arg-type]
+                with open(real, "wb") as dst:
+                    shutil.copyfileobj(src, dst, 1024 * 1024)
         self._file_cache[path] = real
         return real
 
@@ -444,7 +435,7 @@ class DiskOverlay:
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        stack = self._stack_at(parts, content=False, children=True)
+        stack = self._stack_at(parts, children=True)
         new_stack = model.remove(stack, path, recursive=recursive)
         self._apply_upper_diff(stack.upper, new_stack.upper)
         self._file_cache.clear()
@@ -454,7 +445,7 @@ class DiskOverlay:
     def _apply_upper_diff(self, old: LayerTree, new: LayerTree) -> None:
         def place(parts: tuple[str, ...], node: Node) -> None:
             real = self.upper.joinpath(*parts)
-            marker = self.upper.joinpath(*parts[:-1], _whiteout_marker(parts[-1]))
+            marker = self.upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1])
             _rm_real(real)
             marker.unlink(missing_ok=True)
             if isinstance(node, Whiteout):
@@ -472,7 +463,7 @@ class DiskOverlay:
         def drop(parts: tuple[str, ...]) -> None:
             real = self.upper.joinpath(*parts)
             _rm_real(real)
-            self.upper.joinpath(*parts[:-1], _whiteout_marker(parts[-1])).unlink(missing_ok=True)
+            self.upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1]).unlink(missing_ok=True)
 
         def rec(parts: tuple[str, ...], old_node: Optional[Node], new_node: Optional[Node]) -> None:
             if old_node == new_node:
@@ -507,7 +498,7 @@ def _rm_real(real: Path) -> None:
         st = real.lstat()
     except OSError:
         return
-    if os.path.stat.S_ISDIR(st.st_mode):
+    if stat_m.S_ISDIR(st.st_mode):
         shutil.rmtree(real)
     else:
         real.unlink()

@@ -168,7 +168,7 @@ class _Execution:
     def fail(self, step, reason: str) -> StepFailed:
         self.record(step, StepStatus.FAILED, reason)
         self.report.total_elapsed_us = _now_us() - self.started
-        unwound = self._write_transcript_and_unwind()
+        self._write_transcript_and_unwind()
         err = StepFailed(step.ordinal, reason)
         err.report = self.report  # type: ignore[attr-defined]
         return err

@@ -1,23 +1,27 @@
-"""Pure two-layer union filesystem model.
+"""Pure union filesystem model over a stack of layers.
 
-The merged view every container sees is lower (the shared base tree,
-owned by the administrator) with upper (the user's private delta) stacked
-on top: upper entries win, whiteouts hide lower entries, opaque upper
-directories stop merging with their lower counterpart entirely.
+The merged view every container sees is a stack of layers, bottom first:
+the shared base tree (owned by the administrator), optionally read-only
+middle layers (a user's shared delta on a compute node), and one
+writable delta on top.  Lookup follows the overlayfs rule: upper entries
+win, whiteouts hide lower entries, opaque directories stop merging with
+the layers below them.
 
 Everything here is a value transformation: operations take a LayerStack
 and return new trees without touching the host filesystem, so the
 runtime's semantics can be exercised and property-tested without any
 privilege.  Resolution is dynamic (nothing is cached), so an updated
-lower tree is visible to the next lookup by construction.
+lower tree is visible to the next lookup by construction.  lookup and
+merged_listing take the layers' root directories instead of a stack,
+which is how the disk view feeds them lazily read layers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AbsentParent,
@@ -49,6 +53,8 @@ __all__ = [
     "normalize",
     "content_checksum",
     "empty_tree",
+    "lookup",
+    "merged_listing",
     "resolve",
     "write_file",
     "remove",
@@ -225,13 +231,19 @@ def _check_plain(tree: LayerTree) -> None:
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Exactly two layers: the shared base and one user's delta."""
+    """The shared base, read-only middle layers (bottom first), one delta on top."""
 
     lower: LayerTree
     upper: LayerTree
+    middle: tuple[LayerTree, ...] = ()
 
     def __post_init__(self) -> None:
         _check_plain(self.lower)
+
+    @property
+    def layers(self) -> tuple[LayerTree, ...]:
+        """Every layer, bottom first."""
+        return (self.lower, *self.middle, self.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -253,113 +265,110 @@ class ResolutionKind(Enum):
 class Resolution:
     outcome: ResolutionKind
     node: Optional[Node] = None
+    layer: Optional[int] = None  # index (bottom first) of the layer that supplied node
 
     @property
     def found(self) -> bool:
         return self.outcome in (ResolutionKind.FOUND_UPPER, ResolutionKind.FOUND_LOWER)
 
 
-# why the lower subtree stopped being merged along an ancestor chain
-_CUT_WHITEOUT = "whiteout"
-_CUT_OPAQUE = "opaque"
-_CUT_SHADOW = "shadow"
+def _holds(node: Optional[Node], rest: tuple[str, ...]) -> bool:
+    """Whether a real (non-whiteout) entry sits at rest below node."""
+    for name in rest:
+        if not isinstance(node, Directory):
+            return False
+        node = node.children.get(name)
+    return node is not None and not isinstance(node, Whiteout)
 
 
-def _descend_upper(stack: LayerStack, parts: tuple[str, ...]):
-    """Walk the upper tree along parts.
+def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
+    """Look parts up through layer roots (bottom first), as overlayfs does.
 
-    Returns (upper node at the full path or None, first cause that cut the
-    lower layer's visibility at a strict ancestor, or None).
+    Top-down, one component at a time, the topmost layer with an entry
+    decides.  A directory merges with the same-name directories below it
+    until a whiteout, a non-directory or an opaque directory: a whiteout or
+    an opaque directory cuts off the layers below it, a file or symlink
+    shadows them.  A path that is not found is HIDDEN when a cut-off layer
+    holds it, else ABSENT.
+
+    Only child lookups (children.get) are made on the way down, and cut-off
+    layers are probed only for a path that is not found.  Returns the
+    resolution and, for a directory, the (layer index, directory) pairs
+    that merge at the path, top first.
     """
-    node: Optional[Node] = stack.upper.root
-    cut: Optional[str] = None
-    for name in parts:
-        nxt: Optional[Node] = None
-        if isinstance(node, Directory):
-            if node.opaque and cut is None:
-                cut = _CUT_OPAQUE
-            nxt = node.children.get(name)
-        elif isinstance(node, Whiteout):
-            if cut is None:
-                cut = _CUT_WHITEOUT
-        elif node is not None:  # file or symlink shadowing the subtree
-            if cut is None:
-                cut = _CUT_SHADOW
-        node = nxt
-    return node, cut
+    top = len(layers) - 1
+    merged: list[tuple[int, Directory]] = []
+    cut: list[tuple[Directory, int]] = []  # cut-off directory, index of the part below it
+    for i in range(top, -1, -1):
+        merged.append((i, layers[i]))
+        if layers[i].opaque:
+            cut = [(layers[j], 0) for j in range(i)]
+            break
+    node: Optional[Node] = layers[top]
+    origin = top
+    for depth, name in enumerate(parts):
+        above, merged, node = merged, [], None
+        for k, (i, d) in enumerate(above):
+            child = d.children.get(name)
+            if child is None:
+                continue
+            if isinstance(child, Whiteout):
+                cut += [(below, depth) for _, below in above[k + 1 :]]
+                break
+            if node is None:
+                node, origin = child, i
+            if not isinstance(child, Directory):
+                break
+            merged.append((i, child))
+            if child.opaque:
+                cut += [(below, depth) for _, below in above[k + 1 :]]
+                break
+        if node is None or (not isinstance(node, Directory) and depth < len(parts) - 1):
+            hidden = any(_holds(d, parts[k:]) for d, k in cut)
+            return Resolution(ResolutionKind.HIDDEN if hidden else ResolutionKind.ABSENT), []
+    kind = ResolutionKind.FOUND_UPPER if origin == top else ResolutionKind.FOUND_LOWER
+    return Resolution(kind, node, origin), merged
 
 
-def resolve(stack: LayerStack, path: str) -> Resolution:
-    """Resolve path in the merged view; the customized (upper) version wins."""
-    parts = split_path(path)
-    if not parts:
-        return Resolution(ResolutionKind.FOUND_UPPER, stack.upper.root)
-    upper_node, cut = _descend_upper(stack, parts)
-    lower_node = stack.lower.get(path)
-
-    if upper_node is not None and not isinstance(upper_node, Whiteout):
-        return Resolution(ResolutionKind.FOUND_UPPER, upper_node)
-    if isinstance(upper_node, Whiteout):
-        if lower_node is not None:
-            return Resolution(ResolutionKind.HIDDEN)
-        return Resolution(ResolutionKind.ABSENT)
-    if lower_node is None:
-        return Resolution(ResolutionKind.ABSENT)
-    if cut is None:
-        return Resolution(ResolutionKind.FOUND_LOWER, lower_node)
-    if cut in (_CUT_WHITEOUT, _CUT_OPAQUE):
-        return Resolution(ResolutionKind.HIDDEN)
-    return Resolution(ResolutionKind.ABSENT)
+def lookup(layers: Sequence[Directory], path: str) -> Resolution:
+    """Resolve path through layer root directories, bottom first."""
+    return _walk(layers, split_path(path))[0]
 
 
-def list_dir(stack: LayerStack, path: str) -> list[tuple[str, Origin]]:
-    """Merged directory listing, byte-sorted by name.
+def merged_listing(layers: Sequence[Directory], path: str) -> list[tuple[str, Origin]]:
+    """Listing of path through layer root directories, bottom first,
+    byte-sorted by name.
 
     Upper entries shadow same-name lower entries; whiteout children are
-    omitted; an opaque upper directory drops lower entries entirely.
+    omitted; an opaque directory drops the entries of the layers below it.
+    Only the children's names and whether they are whiteouts are read.
     """
-    parts = split_path(path)
-    if parts:
-        upper_node, cut = _descend_upper(stack, parts)
-    else:
-        upper_node, cut = stack.upper.root, None
-    lower_node = stack.lower.get(path)
-
-    upper_dir: Optional[Directory] = None
-    if isinstance(upper_node, Whiteout):
-        if lower_node is not None:
-            raise HiddenPath(path)
+    res, merged = _walk(layers, split_path(path))
+    if res.outcome is ResolutionKind.HIDDEN:
+        raise HiddenPath(path)
+    if not res.found:
         raise AbsentPath(path)
-    if upper_node is not None:
-        if not isinstance(upper_node, Directory):
-            raise NotADirectory(path)
-        upper_dir = upper_node
-    else:
-        if lower_node is None:
-            raise AbsentPath(path)
-        if cut in (_CUT_WHITEOUT, _CUT_OPAQUE):
-            raise HiddenPath(path)
-        if cut is not None:
-            raise AbsentPath(path)
-        if not isinstance(lower_node, Directory):
-            raise NotADirectory(path)
-
-    lower_merged = (
-        cut is None
-        and isinstance(lower_node, Directory)
-        and (upper_dir is None or not upper_dir.opaque)
-    )
+    if not isinstance(res.node, Directory):
+        raise NotADirectory(path)
     names: dict[str, Origin] = {}
-    if lower_merged:
-        for name in lower_node.children:  # type: ignore[union-attr]
-            names[name] = Origin.LOWER
-    if upper_dir is not None:
-        for name, child in upper_dir.children.items():
+    for i, d in reversed(merged):
+        origin = Origin.UPPER if i == len(layers) - 1 else Origin.LOWER
+        for name, child in d.children.items():
             if isinstance(child, Whiteout):
                 names.pop(name, None)
             else:
-                names[name] = Origin.UPPER
+                names[name] = origin
     return [(n, names[n]) for n in sorted(names, key=lambda s: s.encode("utf-8"))]
+
+
+def resolve(stack: LayerStack, path: str) -> Resolution:
+    """Resolve path in the merged view; the topmost version wins."""
+    return lookup([layer.root for layer in stack.layers], path)
+
+
+def list_dir(stack: LayerStack, path: str) -> list[tuple[str, Origin]]:
+    """Merged directory listing of path, byte-sorted by name."""
+    return merged_listing([layer.root for layer in stack.layers], path)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,7 @@ def write_file(stack: LayerStack, path: str, content: bytes) -> LayerStack:
 
     Whatever previously occupied the path in the merged view (file,
     symlink, whiteout, or a directory subtree) is shadowed or replaced;
-    the lower layer is byte-identical afterwards.
+    the layers below are byte-identical afterwards.
     """
     if not isinstance(content, (bytes, bytearray)):
         raise TypeError("file content must be bytes")
@@ -399,15 +408,15 @@ def write_file(stack: LayerStack, path: str, content: bytes) -> LayerStack:
     _require_dir_ancestors(stack, parts)
     upper = _copy_up_dirs(stack.upper, parts)
     upper = upper.set(path, RegularFile(bytes(content)))
-    return LayerStack(lower=stack.lower, upper=upper)
+    return replace(stack, upper=upper)
 
 
 def remove(stack: LayerStack, path: str, recursive: bool = False) -> LayerStack:
     """Remove path from the merged view.
 
-    A lower-layer occurrence is hidden with a whiteout; an upper-only node
-    is deleted outright. Removing a directory that lists children requires
-    recursive=True.
+    An occurrence in any layer below the top is hidden with a whiteout; an
+    upper-only node is deleted outright. Removing a directory that lists
+    children requires recursive=True.
     """
     parts = split_path(path)
     if not parts:
@@ -421,10 +430,10 @@ def remove(stack: LayerStack, path: str, recursive: bool = False) -> LayerStack:
     upper = stack.upper
     if upper.get(path) is not None:
         upper = upper.delete(path)
-    if stack.lower.contains(path):
+    if any(layer.contains(path) for layer in stack.layers[:-1]):
         upper = _copy_up_dirs(upper, parts)
         upper = upper.set(path, Whiteout())
-    return LayerStack(lower=stack.lower, upper=upper)
+    return replace(stack, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +468,9 @@ def flatten(stack: LayerStack) -> LayerTree:
             return Directory(children=children, opaque=False)
         return upper
 
-    root = merge(stack.upper.root, stack.lower.root)
+    root: Optional[Node] = stack.lower.root
+    for layer in (*stack.middle, stack.upper):
+        root = merge(layer.root, root)
     assert isinstance(root, Directory)
     return LayerTree(root=root)
 
@@ -520,8 +531,8 @@ def _payload(node: Node) -> Optional[bytes]:
 def stage_merge(stack: LayerStack) -> tuple[JournalEntry, ...]:
     """Compute the ordered journal that applies upper into lower.
 
-    Replaying the entries over the lower tree yields flatten(stack);
-    the walk is deterministic (preorder, byte-sorted names).
+    Replaying the entries over the lower tree yields flatten(stack) for a
+    two-layer stack; the walk is deterministic (preorder, byte-sorted names).
     """
     entries: list[JournalEntry] = []
 

@@ -65,17 +65,21 @@ def random_lower(rng: random.Random, max_depth: int = 6, node_budget: int = 100)
     return LayerTree(root=gen_dir(1))
 
 
-def random_upper(rng: random.Random, lower: LayerTree, max_depth: int = 6, node_budget: int = 100) -> LayerTree:
-    """Delta over lower: overrides, whiteouts, opaque dirs, fresh subtrees."""
+def random_upper(rng: random.Random, *below: LayerTree, max_depth: int = 6, node_budget: int = 100) -> LayerTree:
+    """Delta over the layers below: overrides, whiteouts, opaque dirs,
+    fresh subtrees.  Names are drawn from what the layers below hold."""
     budget = [rng.randint(0, node_budget)]
 
-    def lower_at(parts: tuple[str, ...]):
-        return lower.get(join_path(parts)) if parts else lower.root
+    def names_below(parts: tuple[str, ...]) -> list[str]:
+        names: list[str] = []
+        for tree in below:
+            node = tree.get(join_path(parts))
+            if isinstance(node, Directory):
+                names += node.children
+        return names
 
     def gen_dir(parts: tuple[str, ...], depth: int) -> Directory:
-        low = lower_at(parts)
-        low_names = list(low.children) if isinstance(low, Directory) else []
-        pool = list(dict.fromkeys(low_names + NAMES))
+        pool = list(dict.fromkeys(names_below(parts) + NAMES))
         children: dict[str, Node] = {}
         for name in rng.sample(pool, k=rng.randint(0, min(5, len(pool)))):
             if budget[0] <= 0:
@@ -99,13 +103,23 @@ def random_upper(rng: random.Random, lower: LayerTree, max_depth: int = 6, node_
 def random_stack(seed: int, max_depth: int = 6, node_budget: int = 100) -> LayerStack:
     rng = random.Random(seed)
     lower = random_lower(rng, max_depth, node_budget)
-    upper = random_upper(rng, lower, max_depth, node_budget)
+    upper = random_upper(rng, lower, max_depth=max_depth, node_budget=node_budget)
     return LayerStack(lower=lower, upper=upper)
 
 
+def random_stack3(seed: int, max_depth: int = 6, node_budget: int = 100) -> LayerStack:
+    """A node view's three layers: a base, a middle delta carrying
+    whiteouts and opaque dirs (a user's shared upper), a scratch top."""
+    rng = random.Random(seed)
+    lower = random_lower(rng, max_depth, node_budget)
+    middle = random_upper(rng, lower, max_depth=max_depth, node_budget=node_budget)
+    upper = random_upper(rng, lower, middle, max_depth=max_depth, node_budget=node_budget)
+    return LayerStack(lower=lower, upper=upper, middle=(middle,))
+
+
 def probe_paths(stack: LayerStack) -> list[str]:
-    """Every path of both layers plus some never-present probes."""
-    paths = {p for p, _ in stack.lower.walk()} | {p for p, _ in stack.upper.walk()}
+    """Every path of every layer plus some never-present probes."""
+    paths = {p for layer in stack.layers for p, _ in layer.walk()}
     paths.discard("/")
     extra = set()
     for p in list(paths)[:20]:

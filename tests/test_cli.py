@@ -206,6 +206,28 @@ class TestDeployRelease:
         code, _, _ = run_cli(argv + ["deploy", "alice", "--nodes", "/nope/nodes.json"])
         assert code == 2
 
+    def test_partial_failure_exit_code(self, cluster_env, tmp_path):
+        argv, manifest = cluster_env
+        nodes = json.loads(manifest.read_text())
+        nodes.append({"node_id": "gone", "node_root": str(tmp_path / "no-such-root")})
+        manifest.write_text(json.dumps(nodes))
+        code, out, _ = run_cli(argv + ["deploy", "alice", "--nodes", str(manifest)])
+        assert code == 11
+        assert out.count("Attached") == 4 and "gone Failed" in out
+
+    @pytest.mark.parametrize(
+        "user,node_id", [("../evil", "n9"), ("alice", "../../../escaped")]
+    )
+    def test_path_escaping_ids_rejected(self, cluster_env, tmp_path, user, node_id):
+        argv, manifest = cluster_env
+        nodes = [{"node_id": node_id, "node_root": str(tmp_path / "nodes" / "n0")}]
+        manifest.write_text(json.dumps(nodes))
+        before = sorted(tmp_path.rglob("*"))
+        for command in ("deploy", "release"):
+            code, _, err = run_cli(argv + [command, user, "--nodes", str(manifest)])
+            assert code == 2, err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_release_then_release_again(self, cluster_env):
         argv, manifest = cluster_env
         run_cli(argv + ["deploy", "alice", "--nodes", str(manifest)])

@@ -5,7 +5,7 @@ import pytest
 
 from cue import cluster
 from cue.cluster import NodeHandle, SharedLayout, attach_login, deploy_job, release_job
-from cue.errors import NotFound
+from cue.errors import InvalidConfig, NotFound
 from cue.model import ResolutionKind
 from cue.registry import Registry
 
@@ -208,6 +208,51 @@ class TestManifest:
         )
         nodes = cluster.load_manifest(manifest)
         assert [n.node_id for n in nodes] == ["n1", "n2"]
+
+    @pytest.mark.parametrize("text", ["not json", '[{"node": "n1"}]', '{"node_id": "n1"}', "[3]"])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        manifest = tmp_path / "nodes.json"
+        manifest.write_text(text)
+        with pytest.raises(InvalidConfig):
+            cluster.load_manifest(manifest)
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestIdentifierValidation:
+    @pytest.mark.parametrize("user", ["../evil", "..", "a/b", "", "Alice"])
+    def test_bad_user_rejected(self, world, tmp_path, user):
+        shared, registry, login, computes = world
+        before = files_under(tmp_path)
+        with pytest.raises(InvalidConfig):
+            shared.user_dir(user)
+        with pytest.raises(InvalidConfig):
+            attach_login(user, login, shared=shared, registry=registry)
+        with pytest.raises(InvalidConfig):
+            deploy_job(user, computes, shared=shared, registry=registry)
+        with pytest.raises(InvalidConfig):
+            release_job(user, computes, registry=registry)
+        with pytest.raises(InvalidConfig):
+            cluster.node_view(user, computes[0], registry=registry)
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("node_id", ["../../../escaped", "..", "a/b", "", ".hidden"])
+    def test_bad_node_id_rejected(self, tmp_path, node_id):
+        with pytest.raises(InvalidConfig):
+            NodeHandle(node_id, tmp_path)
+        manifest = tmp_path / "nodes.json"
+        manifest.write_text(json.dumps([{"node_id": node_id, "node_root": str(tmp_path)}]))
+        with pytest.raises(InvalidConfig):
+            cluster.load_manifest(manifest)
+
+    def test_deploy_writes_only_under_cluster_dir(self, world, tmp_path):
+        shared, registry, login, computes = world
+        attach_login("alice", login, shared=shared, registry=registry)
+        outside = [p for p in files_under(tmp_path) if not p.startswith("state/cluster")]
+        deploy_job("alice", computes, shared=shared, registry=registry)
+        assert [p for p in files_under(tmp_path) if not p.startswith("state/cluster")] == outside
 
 
 class TestAttachmentCost:

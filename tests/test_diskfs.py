@@ -6,17 +6,18 @@ import pytest
 
 import oracle
 import stackgen
-from cue import model
+from cue import diskfs, model
 from cue.diskfs import DiskOverlay, load_tree, store_tree, tree_bytes
 from cue.errors import (
     AbsentParent,
     AbsentPath,
     DirectoryNotEmpty,
+    HiddenPath,
     NotADirectory,
     ReadOnlyView,
     ReservedName,
 )
-from cue.model import LayerStack, RegularFile, ResolutionKind, Whiteout
+from cue.model import Directory, LayerStack, LayerTree, Origin, RegularFile, ResolutionKind, Symlink, Whiteout
 
 
 @pytest.fixture
@@ -32,6 +33,57 @@ def materialize(stack: LayerStack, lower, upper) -> DiskOverlay:
     store_tree(stack.lower, lower, marker_aware=False)
     store_tree(stack.upper, upper, marker_aware=True)
     return DiskOverlay([lower], upper)
+
+
+def materialize3(stack: LayerStack, root) -> DiskOverlay:
+    """Base, shared middle delta and scratch top as a node view would stack them."""
+    (middle,) = stack.middle
+    store_tree(stack.lower, root / "base", marker_aware=False)
+    store_tree(middle, root / "shared", marker_aware=True)
+    store_tree(stack.upper, root / "scratch", marker_aware=True)
+    return DiskOverlay([root / "base", root / "shared"], root / "scratch")
+
+
+def check_view_resolves_as_model(view: DiskOverlay, stack: LayerStack, seed: int) -> None:
+    for path in stackgen.probe_paths(stack):
+        want = model.resolve(stack, path)
+        got = view.resolve(path)
+        assert got.outcome is want.outcome, (seed, path)
+        assert got.layer == want.layer, (seed, path)
+        if isinstance(want.node, (RegularFile, Symlink)):
+            assert got.node == want.node, (seed, path)
+        elif want.found:
+            assert isinstance(got.node, Directory) and got.node.children == {}, (seed, path)
+
+
+def check_view_lists_as_model(view: DiskOverlay, stack: LayerStack, seed: int) -> None:
+    for path, kind in oracle.visible_paths(stack).items():
+        if kind == ("dir",):
+            assert view.list_dir(path) == model.list_dir(stack, path), (seed, path)
+
+
+def run_random_ops(view: DiskOverlay, stack: LayerStack, rng: random.Random) -> LayerStack:
+    """Apply the same random writes and removes to the view and the model."""
+    for _ in range(12):
+        path = rng.choice(stackgen.probe_paths(stack))
+        if rng.random() < 0.6:
+            data = rng.randbytes(rng.randint(0, 20))
+            try:
+                expected = model.write_file(stack, path, data)
+                view.write_file(path, data)
+                stack = expected
+            except (AbsentParent, NotADirectory, ReservedName) as err:
+                with pytest.raises(type(err)):
+                    view.write_file(path, data)
+        else:
+            try:
+                expected = model.remove(stack, path, recursive=True)
+                view.remove(path, recursive=True)
+                stack = expected
+            except (AbsentPath, ReservedName) as err:
+                with pytest.raises(type(err)):
+                    view.remove(path, recursive=True)
+    return stack
 
 
 class TestTreeStoreLoad:
@@ -65,21 +117,13 @@ class TestViewAgainstModel:
             lower = tmp_path / f"l{seed}"
             upper = tmp_path / f"u{seed}"
             view = materialize(stack, lower, upper)
-            for path in stackgen.probe_paths(stack):
-                want = model.resolve(stack, path)
-                got = view.resolve(path)
-                assert got.outcome is want.outcome, (seed, path)
-                if isinstance(want.node, RegularFile):
-                    assert got.node == want.node, (seed, path)
+            check_view_resolves_as_model(view, stack, seed)
 
     def test_listing_equivalence(self, tmp_path):
         for seed in range(25):
             stack = stackgen.random_stack(seed, node_budget=40)
             view = materialize(stack, tmp_path / f"l{seed}", tmp_path / f"u{seed}")
-            for path, kind in oracle.visible_paths(stack).items():
-                if kind != ("dir",):
-                    continue
-                assert view.list_dir(path) == model.list_dir(stack, path), (seed, path)
+            check_view_lists_as_model(view, stack, seed)
 
     def test_random_op_sequences_stay_equivalent(self, tmp_path):
         rng = random.Random(1234)
@@ -89,25 +133,7 @@ class TestViewAgainstModel:
             upper = tmp_path / f"u{seed}"
             view = materialize(stack, lower, upper)
             lower_before = load_tree(lower, marker_aware=False)
-            for _ in range(12):
-                path = rng.choice(stackgen.probe_paths(stack))
-                if rng.random() < 0.6:
-                    data = rng.randbytes(rng.randint(0, 20))
-                    try:
-                        expected = model.write_file(stack, path, data)
-                        view.write_file(path, data)
-                        stack = expected
-                    except (AbsentParent, NotADirectory, ReservedName) as err:
-                        with pytest.raises(type(err)):
-                            view.write_file(path, data)
-                else:
-                    try:
-                        expected = model.remove(stack, path, recursive=True)
-                        view.remove(path, recursive=True)
-                        stack = expected
-                    except (AbsentPath, ReservedName) as err:
-                        with pytest.raises(type(err)):
-                            view.remove(path, recursive=True)
+            stack = run_random_ops(view, stack, rng)
             assert load_tree(upper, marker_aware=True) == stack.upper, seed
             assert load_tree(lower, marker_aware=False) == lower_before, seed
 
@@ -220,6 +246,65 @@ class TestMasks:
             view.write_file("/f", b"y")
 
 
+class TestThreeLayerViewAgainstModel:
+    def test_resolution_equivalence_on_seeded_stacks(self, tmp_path):
+        for seed in range(40):
+            stack = stackgen.random_stack3(seed, node_budget=40)
+            view = materialize3(stack, tmp_path / str(seed))
+            check_view_resolves_as_model(view, stack, seed)
+
+    def test_listing_equivalence(self, tmp_path):
+        for seed in range(25):
+            stack = stackgen.random_stack3(seed, node_budget=40)
+            view = materialize3(stack, tmp_path / str(seed))
+            check_view_lists_as_model(view, stack, seed)
+
+    def test_random_op_sequences_stay_equivalent(self, tmp_path):
+        rng = random.Random(4321)
+        for seed in range(15):
+            stack = stackgen.random_stack3(seed, node_budget=30)
+            root = tmp_path / str(seed)
+            view = materialize3(stack, root)
+            stack = run_random_ops(view, stack, rng)
+            assert load_tree(root / "scratch", marker_aware=True) == stack.upper, seed
+            assert load_tree(root / "shared", marker_aware=True) == stack.middle[0], seed
+            assert load_tree(root / "base", marker_aware=False) == stack.lower, seed
+            check_view_resolves_as_model(view, stack, seed)
+
+
+class TestReadPathBuildsNoTrees:
+    """Reads walk the lazy layer directories: no slices, no trees, no folds."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_resolve_read_and_list(self, tmp_path, monkeypatch, depth):
+        if depth == 3:
+            stack = stackgen.random_stack3(5, node_budget=40)
+            view = materialize3(stack, tmp_path)
+        else:
+            stack = stackgen.random_stack(5, node_budget=40)
+            view = materialize(stack, tmp_path / "l", tmp_path / "u")
+        paths = stackgen.probe_paths(stack)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tree built on the read path")
+
+        monkeypatch.setattr(LayerTree, "set", forbidden)
+        monkeypatch.setattr(diskfs, "_load_slice", forbidden)
+        monkeypatch.setattr(model, "flatten", forbidden)
+        monkeypatch.setattr(model, "_check_plain", forbidden)
+        monkeypatch.setattr(diskfs._LayerEntries, "__eq__", forbidden)
+        listed = read = 0
+        for path in ["/", *paths]:
+            res = view.resolve(path)
+            if isinstance(res.node, RegularFile):
+                assert view.read_file(path) == res.node.content
+                read += 1
+            elif isinstance(res.node, Directory):
+                view.list_dir(path)
+                listed += 1
+        assert listed > 1 and read > 1
+
+
 class TestThreeLayerFold:
     def test_mid_layer_markers_honored(self, tmp_path):
         bottom = tmp_path / "node-root"
@@ -241,3 +326,29 @@ class TestThreeLayerFold:
         assert (top / "etc" / "motd").read_bytes() == b"job-local"
         assert (mid / "etc" / "motd").read_bytes() == b"custom"
         assert [n for n, _ in view.list_dir("/etc")] == ["motd"]
+
+    def test_base_path_whited_out_in_middle_is_hidden(self, tmp_path):
+        bottom, mid, top = (tmp_path / n for n in ("node-root", "shared-upper", "scratch"))
+        for d in (bottom / "etc", mid / "etc", top):
+            d.mkdir(parents=True)
+        (bottom / "etc" / "gone").write_bytes(b"old")
+        (mid / "etc" / ".wh.gone").touch()
+        view = DiskOverlay([bottom, mid], top)
+        assert view.resolve("/etc/gone").outcome is ResolutionKind.HIDDEN
+        with pytest.raises(HiddenPath):
+            view.read_file("/etc/gone")
+        assert view.list_dir("/etc") == []
+
+    def test_middle_opaque_dir_hides_base_children(self, tmp_path):
+        bottom, mid, top = (tmp_path / n for n in ("node-root", "shared-upper", "scratch"))
+        for d in (bottom / "opt" / "tool", mid / "opt", top):
+            d.mkdir(parents=True)
+        (bottom / "opt" / "base").write_bytes(b"b")
+        (bottom / "opt" / "tool" / "bin").write_bytes(b"x")
+        (mid / "opt" / ".wh..wh..opq").touch()
+        (mid / "opt" / "mine").write_bytes(b"m")
+        view = DiskOverlay([bottom, mid], top)
+        assert view.resolve("/opt/base").outcome is ResolutionKind.HIDDEN
+        assert view.resolve("/opt/tool/bin").outcome is ResolutionKind.HIDDEN
+        assert view.list_dir("/opt") == [("mine", Origin.LOWER)]
+        assert view.read_file("/opt/mine") == b"m"

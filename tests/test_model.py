@@ -242,16 +242,28 @@ class TestFlatten:
             assert oracle.flatten_to_dict(model.flatten(s)) == oracle.visible_paths(s), seed
 
 
+def check_resolve_against_oracle(s: LayerStack, seed: int) -> None:
+    for path in stackgen.probe_paths(s):
+        got = model.resolve(s, path)
+        want_kind, want_payload, want_layer = oracle.expected_layer_resolution(s, path)
+        assert got.outcome is want_kind, (seed, path)
+        if got.found:
+            assert oracle.kind_of(got.node) == want_payload, (seed, path)
+            assert got.layer == want_layer, (seed, path)
+
+
+def check_list_dir_against_oracle(s: LayerStack, seed: int) -> None:
+    for path, kind in oracle.visible_paths(s).items():
+        if kind != ("dir",):
+            continue
+        got = [(n, o.value) for n, o in model.list_dir(s, path)]
+        assert got == oracle.expected_listing(s, path), (seed, path)
+
+
 class TestOracleEquivalence:
     def test_resolve_matches_oracle_at_every_path(self):
         for seed in range(200):
-            s = stackgen.random_stack(seed)
-            for path in stackgen.probe_paths(s):
-                got = model.resolve(s, path)
-                want_kind, want_payload = oracle.expected_resolution(s, path)
-                assert got.outcome is want_kind, (seed, path)
-                if got.found:
-                    assert oracle.kind_of(got.node) == want_payload, (seed, path)
+            check_resolve_against_oracle(stackgen.random_stack(seed), seed)
 
     def test_resolve_on_flattened_singleton_agrees(self):
         for seed in range(150):
@@ -266,13 +278,83 @@ class TestOracleEquivalence:
 
     def test_list_dir_matches_oracle(self):
         for seed in range(150):
-            s = stackgen.random_stack(seed)
+            check_list_dir_against_oracle(stackgen.random_stack(seed), seed)
+
+
+class TestThreeLayers:
+    """A node view: base, a marker-carrying shared delta, a scratch top."""
+
+    def test_resolve_matches_oracle_at_every_path(self):
+        for seed in range(200):
+            check_resolve_against_oracle(stackgen.random_stack3(seed), seed)
+
+    def test_list_dir_matches_oracle(self):
+        for seed in range(150):
+            check_list_dir_against_oracle(stackgen.random_stack3(seed), seed)
+
+    def test_flatten_matches_oracle(self):
+        for seed in range(150):
+            s = stackgen.random_stack3(seed)
+            assert oracle.flatten_to_dict(model.flatten(s)) == oracle.visible_paths(s), seed
+
+    def test_write_and_remove_match_oracle(self):
+        for seed in range(60):
+            s = stackgen.random_stack3(seed, node_budget=40)
             vis = oracle.visible_paths(s)
-            for path, kind in vis.items():
-                if kind != ("dir",):
-                    continue
-                got = [(n, o.value) for n, o in model.list_dir(s, path)]
-                assert got == oracle.expected_listing(s, path), (seed, path)
+            for path in stackgen.probe_paths(s)[::3]:
+                kept = {p: k for p, k in vis.items() if p != path and not p.startswith(path + "/")}
+                try:
+                    written = model.write_file(s, path, b"new")
+                except (AbsentParent, NotADirectory):
+                    assert vis.get(path.rsplit("/", 1)[0] or "/") != ("dir",), (seed, path)
+                else:
+                    assert written.lower == s.lower and written.middle == s.middle
+                    assert oracle.flatten_to_dict(model.flatten(written)) == {**kept, path: ("file", b"new")}
+                if path in vis:
+                    removed = model.remove(s, path, recursive=True)
+                    assert oracle.flatten_to_dict(model.flatten(removed)) == kept, (seed, path)
+                    assert not model.resolve(removed, path).found
+
+    def test_base_path_whited_out_in_middle_is_hidden(self):
+        s = LayerStack(
+            lower=stackgen.build_tree({"etc": {"gone": b"old", "motd": b"node"}}),
+            middle=(stackgen.build_tree({"etc": {"gone": Whiteout()}}),),
+            upper=stackgen.build_tree({"etc": {"motd": b"job"}}),
+        )
+        assert model.resolve(s, "/etc/gone").outcome is ResolutionKind.HIDDEN
+        assert model.resolve(s, "/etc/motd").layer == 2
+        assert model.list_dir(s, "/etc") == [("motd", Origin.UPPER)]
+        with pytest.raises(HiddenPath):
+            model.list_dir(s, "/etc/gone")
+
+    def test_middle_opaque_dir_hides_base_children(self):
+        s = LayerStack(
+            lower=stackgen.build_tree({"opt": {"base": b"b", "tool": {"bin": b"x"}}}),
+            middle=(stackgen.build_tree({"opt": {"__opaque__": True, "mine": b"m"}}),),
+            upper=stackgen.build_tree({"opt": {"scratch": b"s"}}),
+        )
+        assert model.resolve(s, "/opt/base").outcome is ResolutionKind.HIDDEN
+        assert model.resolve(s, "/opt/tool/bin").outcome is ResolutionKind.HIDDEN
+        res = model.resolve(s, "/opt/mine")
+        assert (res.outcome, res.layer) == (ResolutionKind.FOUND_LOWER, 1)
+        assert model.list_dir(s, "/opt") == [("mine", Origin.LOWER), ("scratch", Origin.UPPER)]
+
+    def test_middle_file_shadowing_base_dir_is_absent(self):
+        s = LayerStack(
+            lower=stackgen.build_tree({"a": {"b": b"low"}}),
+            middle=(stackgen.build_tree({"a": b"now a file"}),),
+            upper=stackgen.build_tree({}),
+        )
+        assert model.resolve(s, "/a/b").outcome is ResolutionKind.ABSENT
+
+    def test_opaque_middle_root_cuts_off_base(self):
+        s = LayerStack(
+            lower=stackgen.build_tree({"a": b"x"}),
+            middle=(stackgen.build_tree({"__opaque__": True, "b": b"y"}),),
+            upper=stackgen.build_tree({}),
+        )
+        assert model.resolve(s, "/a").outcome is ResolutionKind.HIDDEN
+        assert model.list_dir(s, "/") == [("b", Origin.LOWER)]
 
 
 class TestMergeDown:
