@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .diskfs import DiskOverlay
 from .errors import InvalidConfig, NotFound, SharedStorageUnavailable
 from .executor import Backend, _now_us, execute
-from .planner import _USER_RE, ContainerConfig, MaskMode, plan_create
+from .planner import _USER_RE, ContainerConfig, MaskMode, _check_id, plan_create
 from .registry import ContainerRecord, Registry
 
 __all__ = [
@@ -43,12 +43,6 @@ SHARED_ROOT_ENV = "CUE_SHARED_ROOT"
 
 # user and node ids become path components under the shared and state roots
 _NODE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def _check_id(field: str, value: str, pattern: re.Pattern) -> str:
-    if not isinstance(value, str) or not pattern.match(value):
-        raise InvalidConfig(field, f"not a valid {field}: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

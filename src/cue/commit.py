@@ -12,6 +12,12 @@ cleared.  A crash after the commit point is finished by replaying the
 journal on recovery; application is idempotent, so every entry lands
 effectively once either way.
 
+Planning reads the whole upper layer but the base only along the delta's
+paths: the base reaches the model as a lazy directory (one lstat per
+probed path, one scandir under each opaque upper directory that covers a
+base directory), so the plan costs what the delta costs, not what the
+base costs.
+
 Journals are retained under `<state_root>/journals`.  Callers must hold
 the registry's exclusive commit lock.
 
@@ -35,7 +41,7 @@ from typing import Callable, Optional
 
 from . import diskfs, model
 from .errors import StageFailure
-from .model import JournalEntry, JournalOp, JournalState, LayerStack
+from .model import JournalEntry, JournalOp, JournalState
 
 __all__ = ["CommitResult", "run_commit", "recover", "install_env_fault_hook"]
 
@@ -116,12 +122,12 @@ def run_commit(
 
     recover(journal_dir)  # finish or abort anything a dead process left
 
-    lower_tree = diskfs.load_tree(lower_dir, marker_aware=False, deep=False)
+    lower = diskfs.layer_root(lower_dir, marker_aware=False)
     try:
         upper_tree = diskfs.load_tree(upper_dir, marker_aware=True, deep=True)
     except OSError as err:
         raise StageFailure(f"unreadable upper layer: {err}") from err
-    entries = model.stage_merge(LayerStack(lower=lower_tree, upper=upper_tree))
+    entries = model.stage_merge(lower, upper_tree.root)
 
     journal_id = f"commit-{time.strftime('%Y%m%dT%H%M%S')}-{os.getpid()}"
     staging = journal_dir / journal_id

@@ -48,7 +48,9 @@ from .model import (
     Whiteout,
 )
 
-__all__ = ["WH_PREFIX", "OPAQUE_MARKER", "DiskOverlay", "load_tree", "store_tree", "tree_bytes"]
+__all__ = [
+    "WH_PREFIX", "OPAQUE_MARKER", "DiskOverlay", "layer_root", "load_tree", "store_tree", "tree_bytes",
+]
 
 WH_PREFIX = ".wh."
 OPAQUE_MARKER = ".wh..wh..opq"
@@ -80,7 +82,9 @@ class _LayerEntries(Mapping):
     """One layer directory's entries, read when asked for and never cached.
 
     get() costs one lstat (plus the `.wh.` probe on a miss where markers
-    count); iterating costs one scandir, with no lstat per entry.
+    count); iterating costs one scandir, with no lstat per entry.  Only a
+    missing entry reads as absent: any other lstat error is raised, so an
+    unreadable path is never mistaken for an empty one.
     """
 
     def __init__(self, path: str, marker_aware: bool):
@@ -93,7 +97,7 @@ class _LayerEntries(Mapping):
         real = self.prefix + name
         try:
             mode = os.lstat(real).st_mode
-        except OSError:
+        except (FileNotFoundError, NotADirectoryError):
             if self.marker_aware and _exists(self.prefix + WH_PREFIX + name):
                 return _WHITEOUT
             return default
@@ -193,14 +197,20 @@ def _load_slice(layer: _LayerDir, parts: tuple[str, ...], *, content: bool, chil
     return LayerTree(root=node)
 
 
-# ---------------------------------------------------------------------------
-# whole-tree load/store (commit, tests, small trees)
-
-def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> LayerTree:
-    """Read a whole layer directory into a model tree."""
+def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
+    """A layer directory as a lazy model Directory: a child lookup costs one
+    lstat, a listing one scandir, and nothing is read up front."""
     root = str(root)
     if not os.path.isdir(root):
         raise FileNotFoundError(errno.ENOENT, "no layer directory", root)
+    return _LayerDir(root, marker_aware)
+
+
+# ---------------------------------------------------------------------------
+# whole-tree load/store (commit's upper, tests, small trees)
+
+def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> LayerTree:
+    """Read a whole layer directory into a model tree."""
 
     def load(d: _LayerDir) -> Directory:
         children: dict[str, Node] = {}
@@ -210,7 +220,7 @@ def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> La
             children[name] = load(child) if deep_child else _plain(child, real, content=deep)
         return Directory(children=children, opaque=d.opaque)
 
-    return LayerTree(root=load(_LayerDir(root, marker_aware)))
+    return LayerTree(root=load(layer_root(root, marker_aware=marker_aware)))
 
 
 def store_tree(tree: LayerTree, root: Path, *, marker_aware: bool = True) -> None:
@@ -285,9 +295,10 @@ class DiskOverlay:
     # -- masks ------------------------------------------------------------
 
     def _mask_at(self, path: str) -> Optional[tuple[str, str]]:
+        """The deepest mask covering a normalized path, if any."""
         best = None
         for mask_path, mode in self.masks:
-            if path == mask_path or model.is_strict_prefix(mask_path, path):
+            if path == mask_path or path.startswith(mask_path + "/") or mask_path == "/":
                 if best is None or len(mask_path) > len(best[0]):
                     best = (mask_path, mode)
         return best
@@ -309,11 +320,12 @@ class DiskOverlay:
     def _real(self, layer: int, parts: tuple[str, ...]) -> str:
         return os.path.join(self._roots[layer], *parts)
 
-    def _found(self, path: str) -> Resolution:
-        """Resolution of a normalized path that must exist in the view."""
-        res = model.lookup(self._layers(), path)
+    def _found(self, parts: tuple[str, ...]) -> Resolution:
+        """Resolution of a split path that must exist in the view."""
+        res = model.lookup(self._layers(), parts)
         if not res.found:
-            raise (HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath)(path)
+            kind = HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath
+            raise kind(model.join_path(parts))
         return res
 
     def _stack_at(self, parts: tuple[str, ...], *, content: bool = False,
@@ -353,26 +365,30 @@ class DiskOverlay:
             self._file_cache[path] = Path(real)
         return res
 
-    def real_path(self, path: str) -> Path:
-        """Backing file of a resolvable regular file or symlink (any layer)."""
-        parts = model.split_path(path)
-        path = model.join_path(parts)
-        cached = self._file_cache.get(path)
-        if cached is not None:
-            return cached
+    def _backing(self, path: str) -> str:
+        """Backing file of an uncached resolvable regular file or symlink."""
+        parts = model.split_path(path)  # accepts normalized paths only
         mask = self._mask_at(path)
         if mask is not None and mask[1] == "empty":
             raise AbsentPath(path)
-        res = self._found(path)
+        res = self._found(parts)
         if isinstance(res.node, Directory):
             raise NotADirectory(f"not a regular file: {path}")
-        return Path(self._real(res.layer, parts))  # type: ignore[arg-type]
+        return self._real(res.layer, parts)  # type: ignore[arg-type]
+
+    def real_path(self, path: str) -> Path:
+        """Backing file of a resolvable regular file or symlink (any layer)."""
+        cached = self._file_cache.get(path)
+        if cached is not None:
+            return cached
+        return Path(self._backing(path))
 
     def read_file(self, path: str) -> bytes:
         cached = self._file_cache.get(path)
         if cached is not None:
             return cached.read_bytes()
-        return self.real_path(path).read_bytes()
+        with open(self._backing(path), "rb") as fh:
+            return fh.read()
 
     def list_dir(self, path: str) -> list[tuple[str, Origin]]:
         parts = model.split_path(path)
@@ -415,7 +431,7 @@ class DiskOverlay:
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        res = self._found(path)
+        res = self._found(parts)
         if not isinstance(res.node, RegularFile):
             raise NotADirectory(f"not a regular file: {path}")
         real = self.upper.joinpath(*parts)

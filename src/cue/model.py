@@ -111,12 +111,6 @@ def normalize(path: str) -> str:
     return join_path(kept)
 
 
-def is_strict_prefix(prefix: str, path: str) -> bool:
-    """Component-wise strict prefix test on normalized paths."""
-    a, b = split_path(prefix), split_path(path)
-    return len(a) < len(b) and b[: len(a)] == a
-
-
 # ---------------------------------------------------------------------------
 # nodes and trees
 
@@ -172,20 +166,7 @@ class LayerTree:
         parts = split_path(path)
         if not parts:
             raise IsADirectory("cannot replace the root directory")
-
-        def rebuild(d: Directory, depth: int) -> Directory:
-            name = parts[depth]
-            children = dict(d.children)
-            if depth == len(parts) - 1:
-                children[name] = node
-            else:
-                child = d.children.get(name)
-                if not isinstance(child, Directory):
-                    raise NotADirectory(join_path(parts[: depth + 1]))
-                children[name] = rebuild(child, depth + 1)
-            return Directory(children=children, opaque=d.opaque)
-
-        return LayerTree(root=rebuild(self.root, 0))
+        return self._rebuilt(parts, node)
 
     def delete(self, path: str) -> "LayerTree":
         """New tree without the node (and subtree) at path."""
@@ -194,17 +175,28 @@ class LayerTree:
             raise IsADirectory("cannot delete the root directory")
         if self.get(path) is None:
             raise AbsentPath(path)
+        return self._rebuilt(parts, None)
 
-        def rebuild(d: Directory, depth: int) -> Directory:
-            name = parts[depth]
+    def _rebuilt(self, parts: tuple[str, ...], node: Optional[Node]) -> "LayerTree":
+        """New tree with node at parts, or without the entry there if node
+        is None.  Built in loops, not a recursive closure: a closure that
+        refers to itself is a reference cycle, and it would keep node (say,
+        a large file's content) alive until the cyclic collector runs."""
+        chain = [self.root]
+        for depth, name in enumerate(parts[:-1]):
+            child = chain[-1].children.get(name)
+            if not isinstance(child, Directory):
+                raise NotADirectory(join_path(parts[: depth + 1]))
+            chain.append(child)
+        for d, name in zip(reversed(chain), reversed(parts)):
             children = dict(d.children)
-            if depth == len(parts) - 1:
+            if node is None:
                 del children[name]
             else:
-                children[name] = rebuild(children[name], depth + 1)  # type: ignore[arg-type]
-            return Directory(children=children, opaque=d.opaque)
-
-        return LayerTree(root=rebuild(self.root, 0))
+                children[name] = node
+            node = Directory(children=children, opaque=d.opaque)
+        assert isinstance(node, Directory)
+        return LayerTree(root=node)
 
     def walk(self) -> Iterator[tuple[str, Node]]:
         """Preorder (path, node) pairs, children in byte-sorted name order."""
@@ -330,9 +322,10 @@ def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
     return Resolution(kind, node, origin), merged
 
 
-def lookup(layers: Sequence[Directory], path: str) -> Resolution:
-    """Resolve path through layer root directories, bottom first."""
-    return _walk(layers, split_path(path))[0]
+def lookup(layers: Sequence[Directory], path: str | tuple[str, ...]) -> Resolution:
+    """Resolve path (a normalized path, or its split_path components)
+    through layer root directories, bottom first."""
+    return _walk(layers, path if isinstance(path, tuple) else split_path(path))[0]
 
 
 def merged_listing(layers: Sequence[Directory], path: str) -> list[tuple[str, Origin]]:
@@ -528,16 +521,23 @@ def _payload(node: Node) -> Optional[bytes]:
     return None
 
 
-def stage_merge(stack: LayerStack) -> tuple[JournalEntry, ...]:
-    """Compute the ordered journal that applies upper into lower.
+def stage_merge(lower: Directory, upper: Directory) -> tuple[JournalEntry, ...]:
+    """Compute the ordered journal that applies the upper root into the
+    lower root.
 
-    Replaying the entries over the lower tree yields flatten(stack) for a
-    two-layer stack; the walk is deterministic (preorder, byte-sorted names).
+    Replaying the entries over lower yields flatten(LayerStack(lower,
+    upper)); the walk is deterministic (preorder, byte-sorted names).  It
+    walks upper and reads lower only along upper's paths: one child lookup
+    (children.get) per upper entry, plus one listing under each opaque
+    upper directory that sits over a lower directory.  A lazy lower root
+    (diskfs.layer_root) is therefore read only along the delta's paths.
     """
     entries: list[JournalEntry] = []
 
     def sorted_names(d: Directory):
-        return sorted(d.children, key=lambda s: s.encode("utf-8"))
+        # one items() pass: sorted(children) would also call len(), and a
+        # lazy directory lists itself on each
+        return sorted([name for name, _ in d.children.items()], key=lambda s: s.encode("utf-8"))
 
     def visit(parts: tuple[str, ...], upper: Node, lower: Optional[Node]) -> None:
         path = join_path(parts)
@@ -583,7 +583,7 @@ def stage_merge(stack: LayerStack) -> tuple[JournalEntry, ...]:
                 lower_dir.children.get(name) if lower_dir is not None else None,
             )
 
-    visit((), stack.upper.root, stack.lower.root)
+    visit((), upper, lower)
     return tuple(entries)
 
 
@@ -626,6 +626,6 @@ def merge_down(stack: LayerStack) -> tuple[LayerTree, MergeJournal]:
     on-disk stacks, callers must hold the exclusive commit lock; the
     durable staging/commit/recovery protocol lives in cue.commit.
     """
-    entries = stage_merge(stack)
+    entries = stage_merge(stack.lower.root, stack.upper.root)
     tree = flatten(stack)
     return tree, MergeJournal(entries=entries, state=JournalState.COMMITTED)

@@ -40,6 +40,14 @@ __all__ = [
 _USER_RE = re.compile(r"^[a-z](?:[a-z0-9-]{0,30}[a-z0-9])?$")
 _HOSTNAME_RE = re.compile(r"^[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?$")
 
+
+def _check_id(field: str, value: str, pattern: re.Pattern) -> str:
+    """value, if it matches pattern; ids become path components."""
+    if not isinstance(value, str) or not pattern.match(value):
+        raise InvalidConfig(field, f"not a valid {field}: {value!r}")
+    return value
+
+
 ROOT_SANDBOX_USER = "root-sandbox"
 
 # Standard pseudo-device set exposed into every container.

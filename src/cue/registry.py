@@ -4,7 +4,9 @@ One JSON file per record under `<state_root>/containers/<kind>/<user>.json`,
 written with the write-to-temp + atomic-rename discipline so readers are
 lock-free and never observe a torn record.  A single advisory file lock
 (`<state_root>/commit.lock`) serializes merge-down commits and benchmarks
-host-wide; per-record locks serialize mutations of one container.
+host-wide; per-record locks serialize mutations of one container.  User
+ids and kinds become path components, so both are validated before any
+path is built from them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .errors import Duplicate, NotFound, StorageFailure, WouldBlock
+from .errors import Duplicate, InvalidConfig, NotFound, StorageFailure, WouldBlock
+from .planner import _USER_RE, _check_id
 
 __all__ = [
     "ContainerRecord",
@@ -117,6 +120,13 @@ def _atomic_write(path: Path, data: str) -> None:
         raise StorageFailure(f"cannot write {path}: {err}") from err
 
 
+def _check_key(user: str, kind: str) -> None:
+    """Refuse a record key whose parts are not safe path components."""
+    if kind not in KINDS:
+        raise InvalidConfig("kind", f"kind must be one of {KINDS}, got {kind!r}")
+    _check_id("user", user, _USER_RE)
+
+
 class Registry:
     def __init__(self, state_root: str | os.PathLike[str] | None = None):
         self.state_root = Path(state_root or default_state_root())
@@ -124,6 +134,7 @@ class Registry:
     # -- paths ------------------------------------------------------------
 
     def record_path(self, user: str, kind: str = "User") -> Path:
+        _check_key(user, kind)
         return self.state_root / "containers" / kind / f"{user}.json"
 
     def commit_lock_path(self) -> Path:
@@ -133,6 +144,7 @@ class Registry:
         return self.state_root / "journals"
 
     def _record_lock_path(self, user: str, kind: str) -> Path:
+        _check_key(user, kind)
         return self.state_root / "locks" / f"{kind}-{user}.lock"
 
     # -- records ----------------------------------------------------------

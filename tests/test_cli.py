@@ -302,6 +302,27 @@ class TestDestroy:
         code, _, _ = run_cli(env + ["destroy", "ghost", "--yes"])
         assert code == 3
 
+    @pytest.mark.parametrize("user", ["../x", "../../../x"])
+    def test_destroy_refuses_path_escaping_user(self, env, tmp_path, user):
+        # a record planted where the unchecked id would lead, naming victims
+        state = tmp_path / "state"
+        planted = state / "containers" / "User" / f"{user}.json"
+        planted.parent.mkdir(parents=True, exist_ok=True)
+        victims = {}
+        for name in ("upper_dir", "work_dir", "merged_dir"):
+            victims[name] = tmp_path / "victim" / name
+            (victims[name] / "keep").mkdir(parents=True)
+        planted.write_text(json.dumps({
+            "user": "x", "hostname": "cue-x", "status": "Stopped", "kind": "User",
+            "created_at": "2020-01-01T00:00:00+00:00",
+            **{k: str(v) for k, v in victims.items()},
+        }))
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(env + ["destroy", user, "--yes"])
+        assert code == 2, err
+        assert "not a valid user" in err and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestHelpSnapshots:
     @pytest.mark.parametrize(

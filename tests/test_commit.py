@@ -136,7 +136,7 @@ class TestKillBasedFaults:
         lower, upper = materialize(stack, tmp_path)
         before = reload_lower(lower)
         journals = tmp_path / "journals"
-        payloads = sum(1 for e in model.stage_merge(stack) if e.checksum is not None)
+        payloads = sum(1 for e in model.stage_merge(stack.lower.root, stack.upper.root) if e.checksum is not None)
         n_pre_commit = payloads + 2  # stage-entry points + journal-write + pre-commit
         assert n_pre_commit >= 3
         for kill_at in range(min(n_pre_commit, 8)):
@@ -179,3 +179,111 @@ class TestRecovery:
         actions = commit.recover(journals)
         assert not (journals / "commit-orphan-1").exists()
         assert actions
+
+
+class TestLazyBase:
+    """Planning reads the base only along the delta's paths."""
+
+    def build(self, tmp_path):
+        lower = tmp_path / "lower"
+        diskfs.store_tree(stackgen.build_tree({
+            "etc": {"a.conf": b"old", "b.conf": b"gone"},
+            "opt": {"pkg": {"old1": b"1", "old2": b"2"}},
+            "usr": {"share": {"doc": {f"f{i}": b"d" for i in range(20)}}},
+            "var": {"log": {"syslog": b"s"}},
+            "home": {"u": {"notes": b"n"}},
+        }), lower, marker_aware=False)
+        upper = tmp_path / "upper"
+        diskfs.store_tree(stackgen.build_tree({
+            "etc": {"a.conf": b"new", "b.conf": model.Whiteout()},
+            "opt": {"pkg": {"__opaque__": True, "fresh": b"f"}},
+            "srv": {"site": {"index": b"i"}},
+        }), upper, marker_aware=True)
+        return lower, upper
+
+    def test_base_read_only_along_the_delta(self, tmp_path, monkeypatch):
+        lower, upper = self.build(tmp_path)
+        delta = {p for p, _ in diskfs.load_tree(upper).walk()}
+        scans, lstats, loads = [], [], []
+        scandir, lstat, load_tree = os.scandir, os.lstat, diskfs.load_tree
+
+        def record_scandir(path="."):
+            scans.append(os.path.normpath(str(path)))  # rmtree passes fds
+            return scandir(path)
+
+        def record_lstat(path, *args, **kwargs):
+            lstats.append(os.path.normpath(str(path)))
+            return lstat(path, *args, **kwargs)
+
+        def record_load(root, **kwargs):
+            loads.append(str(root))
+            return load_tree(root, **kwargs)
+
+        monkeypatch.setattr(os, "scandir", record_scandir)
+        monkeypatch.setattr(os, "lstat", record_lstat)
+        monkeypatch.setattr(diskfs, "load_tree", record_load)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        monkeypatch.undo()
+
+        base = str(lower)
+        under_base = lambda paths: [p for p in paths if p == base or p.startswith(base + "/")]
+        assert under_base(scans) == [str(lower / "opt" / "pkg")]  # the opaque directory
+        for untouched in ("usr", "var", "home"):
+            assert not [p for p in lstats if p.startswith(str(lower / untouched))], untouched
+        # every base path probed is a delta path, or an entry the journal deletes
+        deleted = {e.path for e in result.entries if e.op is model.JournalOp.DELETE_FROM_LOWER}
+        for path in under_base(lstats):
+            assert path[len(base):] in delta | deleted, path
+        assert loads == [str(upper)]
+        assert reload_lower(lower).get("/opt/pkg") == model.Directory(
+            children={"fresh": model.RegularFile(b"f")}
+        )
+
+    def test_same_journal_as_a_full_base_load(self, tmp_path):
+        lower, upper = self.build(tmp_path)
+        (lower / "etc" / ".wh.a.conf").write_bytes(b"not a marker in the base")
+        (lower / "opt" / "pkg" / ".wh.old1").write_bytes(b"")
+        os.mkfifo(lower / "etc" / "fifo")
+        os.mkfifo(lower / "opt" / "pkg" / "pipe")
+        (upper / "etc" / ".wh.fifo").touch()  # whiteout over an unmodeled base entry
+        full = diskfs.load_tree(lower, marker_aware=False, deep=False).root
+        upper_root = diskfs.load_tree(upper, marker_aware=True, deep=True).root
+        expected = model.stage_merge(full, upper_root)
+        lazy = diskfs.layer_root(lower, marker_aware=False)
+        assert model.stage_merge(lazy, upper_root) == expected
+        assert commit.run_commit(lower, upper, tmp_path / "journals").entries == expected
+
+    def test_seeded_journals_match_a_full_base_load(self, tmp_path):
+        for seed in range(25):
+            stack = stackgen.random_stack(seed, node_budget=40)
+            lower, upper = materialize(stack, tmp_path, tag=str(seed))
+            upper_root = diskfs.load_tree(upper, marker_aware=True, deep=True).root
+            full = diskfs.load_tree(lower, marker_aware=False, deep=False).root
+            lazy = diskfs.layer_root(lower, marker_aware=False)
+            assert model.stage_merge(lazy, upper_root) == model.stage_merge(full, upper_root), seed
+
+    def test_missing_base_raises_and_leaves_no_journal(self, tmp_path):
+        upper = tmp_path / "upper"
+        diskfs.store_tree(stackgen.build_tree({"a": b"x"}), upper, marker_aware=True)
+        journals = tmp_path / "journals"
+        with pytest.raises(FileNotFoundError):
+            commit.run_commit(tmp_path / "no-base", upper, journals)
+        assert list(journals.iterdir()) == []
+        assert (upper / "a").read_bytes() == b"x"
+
+    def test_unreadable_base_path_fails_the_plan(self, tmp_path, monkeypatch):
+        lower, upper = self.build(tmp_path)
+        lstat = os.lstat
+        denied = str(lower / "etc" / "a.conf")
+
+        def deny(path, *args, **kwargs):
+            if os.fspath(path) == denied:
+                raise PermissionError(13, "denied", denied)
+            return lstat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "lstat", deny)
+        with pytest.raises(PermissionError):
+            commit.run_commit(lower, upper, tmp_path / "journals")
+        monkeypatch.undo()
+        assert list((tmp_path / "journals").iterdir()) == []
+        assert (lower / "etc" / "a.conf").read_bytes() == b"old"

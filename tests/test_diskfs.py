@@ -13,6 +13,7 @@ from cue.errors import (
     AbsentPath,
     DirectoryNotEmpty,
     HiddenPath,
+    MalformedPath,
     NotADirectory,
     ReadOnlyView,
     ReservedName,
@@ -237,6 +238,29 @@ class TestMasks:
         with pytest.raises(ReadOnlyView):
             view.remove("/etc/conf")
 
+    def test_mask_covers_its_path_and_below_only(self, layers):
+        lower, upper = layers
+        view = DiskOverlay([lower], upper, masks=[("/a", "ro")])
+        assert view._mask_at("/a") == ("/a", "ro")
+        assert view._mask_at("/a/b") == ("/a", "ro")
+        assert view._mask_at("/ab") is None
+        assert view._mask_at("/") is None
+
+    def test_root_mask_covers_everything(self, layers):
+        lower, upper = layers
+        view = DiskOverlay([lower], upper, masks=[("/", "ro")])
+        for path in ("/", "/a", "/ab", "/x/y/z"):
+            assert view._mask_at(path) == ("/", "ro"), path
+        with pytest.raises(ReadOnlyView):
+            view.write_file("/ab", b"x")
+
+    def test_deepest_mask_wins(self, layers):
+        lower, upper = layers
+        view = DiskOverlay([lower], upper, masks=[("/a/b", "empty"), ("/", "ro"), ("/a", "ro")])
+        assert view._mask_at("/a/b/c") == ("/a/b", "empty")
+        assert view._mask_at("/a/bc") == ("/a", "ro")
+        assert view._mask_at("/b") == ("/", "ro")
+
     def test_read_only_view(self, layers):
         lower, upper = layers
         (lower / "f").write_bytes(b"x")
@@ -303,6 +327,39 @@ class TestReadPathBuildsNoTrees:
                 view.list_dir(path)
                 listed += 1
         assert listed > 1 and read > 1
+
+    def test_uncached_read_splits_once_and_builds_no_path(self, layers, monkeypatch):
+        lower, upper = layers
+        (lower / "d").mkdir()
+        (lower / "d" / "low").write_bytes(b"l")
+        (lower / "d" / "gone").write_bytes(b"g")
+        (upper / "d").mkdir()
+        (upper / "d" / "up").write_bytes(b"u")
+        (upper / "d" / ".wh.gone").touch()
+        view = DiskOverlay([lower], upper, masks=[("/m", "empty"), ("/", "ro")])
+        splits = []
+        split_path = model.split_path
+
+        def counted(path):
+            splits.append(path)
+            return split_path(path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Path built on the read path")
+
+        monkeypatch.setattr(model, "split_path", counted)
+        monkeypatch.setattr(diskfs, "Path", forbidden)
+        assert view.read_file("/d/low") == b"l"
+        assert view.read_file("/d/up") == b"u"
+        assert splits == ["/d/low", "/d/up"]
+        with pytest.raises(HiddenPath):
+            view.read_file("/d/gone")
+        with pytest.raises(AbsentPath):
+            view.read_file("/m/x")
+        with pytest.raises(NotADirectory):
+            view.read_file("/d")
+        with pytest.raises(MalformedPath):
+            view.read_file("/d/")
 
 
 class TestThreeLayerFold:

@@ -1,5 +1,8 @@
 """Unit and property tests for the pure layer-stack model."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,11 +59,6 @@ class TestPaths:
         assert model.normalize("//lib/./x/") == "/lib/x"
         with pytest.raises(MalformedPath):
             model.normalize("/a/../b")
-
-    def test_strict_prefix(self):
-        assert model.is_strict_prefix("/a/b", "/a/b/c")
-        assert not model.is_strict_prefix("/a/b", "/a/bc")
-        assert not model.is_strict_prefix("/a/b", "/a/b")
 
 
 class TestResolve:
@@ -387,14 +385,14 @@ class TestMergeDown:
     def test_journal_replay_reproduces_flatten(self):
         for seed in range(200):
             s = stackgen.random_stack(seed)
-            entries = model.stage_merge(s)
+            entries = model.stage_merge(s.lower.root, s.upper.root)
             payloads = {p: n for p, n in s.upper.walk()}
             replayed = model.apply_journal(s.lower, entries, payloads)
             assert replayed == model.flatten(s), seed
 
     def test_journal_line_round_trip(self):
         s = stack_of({"a": b"x"}, {"a": b"y", "sp ace": b"z"})
-        for entry in model.stage_merge(s):
+        for entry in model.stage_merge(s.lower.root, s.upper.root):
             assert model.JournalEntry.from_line(entry.to_line()) == entry
 
     def test_opaque_root_masks_entire_lower(self):
@@ -409,7 +407,7 @@ class TestMergeDown:
         tree, _ = model.merge_down(s)
         assert tree == flat
         payloads = {p: n for p, n in s.upper.walk()}
-        assert model.apply_journal(s.lower, model.stage_merge(s), payloads) == flat
+        assert model.apply_journal(s.lower, model.stage_merge(s.lower.root, s.upper.root), payloads) == flat
 
     def test_second_merge_with_empty_upper_is_identity(self):
         for seed in range(50):
@@ -421,6 +419,25 @@ class TestMergeDown:
 
 
 class TestStackInvariants:
+    def test_set_and_delete_free_nodes_without_the_cycle_collector(self):
+        tree = stackgen.build_tree({"d": {"e": {"old": b"o"}}})
+        node = RegularFile(b"x" * 1024)
+        ref = weakref.ref(node)
+        gc.disable()
+        try:
+            grown = tree.set("/d/e/f", node)
+            assert grown.get("/d/e/f") is node
+            assert grown.delete("/d/e/f") == tree
+            assert grown.delete("/d/e").get("/d") == Directory(children={})
+            del node, grown
+            assert ref() is None
+        finally:
+            gc.enable()
+        with pytest.raises(NotADirectory):
+            tree.set("/d/e/old/x", RegularFile())
+        with pytest.raises(AbsentPath):
+            tree.delete("/d/nope")
+
     def test_lower_purity_enforced(self):
         with pytest.raises(ValueError):
             LayerStack(lower=stackgen.build_tree({"x": Whiteout()}), upper=empty_tree())

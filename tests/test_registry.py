@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cue.errors import Duplicate, NotFound, WouldBlock
+from cue.errors import Duplicate, InvalidConfig, NotFound, WouldBlock
 from cue.registry import ContainerRecord, FileLock, Registry
 
 
@@ -105,6 +105,32 @@ class TestRecords:
             record("alice", kind="Bogus")
         with pytest.raises(ValueError):
             record("alice", status="Bogus")
+
+
+class TestIdentifiers:
+    def test_valid_ids_map_under_the_state_root(self, registry):
+        path = registry.record_path("root-sandbox", "RootSandbox")
+        assert path == registry.state_root / "containers" / "RootSandbox" / "root-sandbox.json"
+        registry.acquire_record_lock("root-sandbox", "RootSandbox").release()
+
+    @pytest.mark.parametrize("user", ["../x", "a/b", "", "Alice", "-a", "a-", ".x", None])
+    def test_bad_user_refused(self, registry, user):
+        with pytest.raises(InvalidConfig) as exc:
+            registry.record_path(user)
+        assert exc.value.exit_code == 2
+        with pytest.raises(InvalidConfig):
+            registry.acquire_record_lock(user)
+        with pytest.raises(InvalidConfig):
+            registry.lookup(user)
+        assert not registry.state_root.exists()
+
+    @pytest.mark.parametrize("kind", ["Bogus", "../User", "user", ""])
+    def test_unknown_kind_refused(self, registry, kind):
+        with pytest.raises(InvalidConfig):
+            registry.record_path("alice", kind)
+        with pytest.raises(InvalidConfig):
+            registry.acquire_record_lock("alice", kind)
+        assert not registry.state_root.exists()
 
 
 class TestTornRecords:
