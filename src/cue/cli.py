@@ -14,11 +14,14 @@ Auto-enter on login is a shell-profile snippet, not a PAM module:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from . import bench as bench_mod
 from . import cluster as cluster_mod
@@ -124,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     b_start = bench_sub.add_parser("startup", help="container startup time", formatter_class=_formatter)
     b_start.add_argument("-n", type=int, default=100, help="number of containers")
     b_start.add_argument("--backend", choices=["sandbox", "kernel"], default="sandbox")
-    b_start.add_argument("--host-root", default="/")
+    b_start.add_argument("--host-root", default=None,
+                        help="base tree (default: a small throwaway one)")
 
     b_stress = bench_sub.add_parser(
         "stress", help="file-operation stress on the layered view", formatter_class=_formatter
@@ -144,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b_exec.add_argument("-n", type=int, default=10, help="repetitions")
     b_exec.add_argument("--backend", choices=["sandbox", "kernel"], default="sandbox")
-    b_exec.add_argument("--host-root", default="/")
+    b_exec.add_argument("--host-root", default=None,
+                       help="base tree (default: a small throwaway one)")
     b_exec.add_argument("run_args", nargs=argparse.REMAINDER, metavar="COMMAND",
                         help="command after --")
 
@@ -336,18 +341,31 @@ def cmd_release(args) -> int:
     return 3 if any(n.status == "NotFound" for n in result.per_node) else 0
 
 
+@contextlib.contextmanager
+def _bench_host(host_root: str | None) -> Iterator[str]:
+    """The given base tree, or a small throwaway one removed afterwards."""
+    if host_root is not None:
+        yield host_root
+        return
+    with tempfile.TemporaryDirectory(prefix="cue-bench-host-") as td:
+        (Path(td) / "bin").mkdir()
+        (Path(td) / "bin" / "sh").write_bytes(b"#!")
+        yield td
+
+
 def cmd_bench(args) -> int:
     state_root = _state_root(args)
     registry = Registry(state_root)
     # benchmarks serialize on the commit lock so nothing contaminates them
     with registry.acquire_commit_lock(blocking=False):
         if args.scenario == "startup":
-            report = bench_mod.bench_startup(
-                args.n,
-                state_root=str(Path(state_root) / "bench-state"),
-                host_root=args.host_root,
-                backend=args.backend,
-            )
+            with _bench_host(args.host_root) as host_root:
+                report = bench_mod.bench_startup(
+                    args.n,
+                    state_root=str(Path(state_root) / "bench-state"),
+                    host_root=host_root,
+                    backend=args.backend,
+                )
         elif args.scenario == "stress":
             spec = bench_mod.StressSpec(
                 args.stress_scenario,
@@ -364,13 +382,14 @@ def cmd_bench(args) -> int:
             command = _split_remainder(args.run_args)
             if not command:
                 raise InvalidConfig("command", "bench exec needs a command after --")
-            report = bench_mod.bench_exec(
-                command,
-                args.n,
-                state_root=str(Path(state_root) / "bench-state"),
-                host_root=args.host_root,
-                backend=args.backend,
-            )
+            with _bench_host(args.host_root) as host_root:
+                report = bench_mod.bench_exec(
+                    command,
+                    args.n,
+                    state_root=str(Path(state_root) / "bench-state"),
+                    host_root=host_root,
+                    backend=args.backend,
+                )
     payload = report.to_json()
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -418,7 +437,15 @@ def cmd_destroy(args) -> int:
     record = registry.lookup(user, kind)
     if record is None:
         raise NotFound(f"no such container: {kind}/{user}")
-    for path in (record.merged_dir, record.work_dir, record.upper_dir):
+    # a record is a file under the state root; never let it name a tree
+    # outside it for removal
+    root = os.path.realpath(_state_root(args))
+    paths = (record.merged_dir, record.work_dir, record.upper_dir)
+    for field, path in zip(("merged_dir", "work_dir", "upper_dir"), paths):
+        real = os.path.realpath(path)
+        if real == root or os.path.commonpath([root, real]) != root:
+            raise InvalidConfig(field, f"{path} is not under the state root {root}")
+    for path in paths:
         shutil.rmtree(path, ignore_errors=True)
     registry.remove(user, kind)
     print(f"destroyed {kind}/{user}")

@@ -1,22 +1,32 @@
 """Transactional merge of an upper layer into the lower layer on disk.
 
 The administrator's global update runs in two phases.  Staging computes
-the journal from the pure model, copies every payload into a content-
-addressed staging area, and writes the journal file (`*.staged`): nothing
-in the lower tree has been touched, and any interruption leaves a journal
+the journal from the pure model, streams every payload into one pack file
+in the staging area, and writes the journal file (`*.staged`): nothing in
+the lower tree has been touched, and any interruption leaves a journal
 that recovery marks `*.aborted`.  The commit point is a single atomic
 rename to `*.committed`; after it, entries are applied to the lower tree
-from the staged payloads (write-temp + rename per file, so a torn apply
-is impossible at the record level) and the consumed upper layer is
-cleared.  A crash after the commit point is finished by replaying the
-journal on recovery; application is idempotent, so every entry lands
-effectively once either way.
+from the pack (write-temp + rename per file, so a torn apply is
+impossible at the record level) and the consumed upper layer is cleared.
+A crash after the commit point is finished by replaying the journal on
+recovery; application is idempotent, so every entry lands effectively
+once either way.
 
-Planning reads the whole upper layer but the base only along the delta's
-paths: the base reaches the model as a lazy directory (one lstat per
-probed path, one scandir under each opaque upper directory that covers a
-base directory), so the plan costs what the delta costs, not what the
-base costs.
+Planning reads the upper layer's shape without file content and the base
+only along the delta's paths: the base reaches the model as a lazy
+directory (one lstat per probed path, one scandir under each opaque upper
+directory that covers a base directory), so the plan costs what the delta
+costs, not what the base costs.  The plan leaves a placeholder where each
+payload's checksum goes.
+
+Staging reads each payload once: it streams the file through one reused
+buffer into `<staging>/pack`, hashing as it goes, and an upper file whose
+size or mtime changes meanwhile fails the stage.  Identical payloads take
+one range of the pack.  The pack is fsynced once, before the journal is
+written and fsynced, so payload data is durable before the commit point;
+a whole stage costs two fsyncs.  The journal header's "pack" maps each
+digest to [offset, length, is_symlink], which apply and recovery copy out
+of the pack with copy_file_range.
 
 Journals are retained under `<state_root>/journals`.  Callers must hold
 the registry's exclusive commit lock.
@@ -30,12 +40,14 @@ fault drills.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
 import shutil
+import stat as stat_m
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -52,7 +64,8 @@ _SUFFIX = {
     JournalState.COMMITTED: ".committed",
     JournalState.ABORTED: ".aborted",
 }
-_SYMLINK_EXT = ".lnk"
+_PACK = "pack"  # the staging area's one payload file
+_CHUNK = 1024 * 1024
 
 
 @dataclass
@@ -124,10 +137,16 @@ def run_commit(
 
     lower = diskfs.layer_root(lower_dir, marker_aware=False)
     try:
-        upper_tree = diskfs.load_tree(upper_dir, marker_aware=True, deep=True)
+        upper_tree = diskfs.load_tree(upper_dir, marker_aware=True, deep=False)
     except OSError as err:
         raise StageFailure(f"unreadable upper layer: {err}") from err
-    entries = model.stage_merge(lower, upper_tree.root)
+    payloads: dict[str, Optional[str]] = {}  # path -> symlink target, None for a file
+
+    def slot(path: str, node: model.Node) -> str:
+        payloads[path] = node.target if isinstance(node, model.Symlink) else None
+        return path  # placeholder until staging has streamed the digest
+
+    planned = model.stage_merge(lower, upper_tree.root, checksum=slot)
 
     journal_id = f"commit-{time.strftime('%Y%m%dT%H%M%S')}-{os.getpid()}"
     staging = journal_dir / journal_id
@@ -141,7 +160,10 @@ def run_commit(
 
     try:
         staging.mkdir()
-        _stage_payloads(staging, upper_dir, entries, hook)
+        digests, header["pack"] = _stage(staging, str(upper_dir), payloads, hook)
+        entries = tuple(
+            e if e.checksum is None else replace(e, checksum=digests[e.path]) for e in planned
+        )
         hook("journal-write", 0)
         _write_journal(staged_path, header, entries)
         hook("pre-commit", 0)
@@ -174,59 +196,91 @@ def _abort_stage(staged_path: Path, staging: Path) -> None:
 # ---------------------------------------------------------------------------
 # staging
 
-def _payload_path(staging: Path, checksum: str, symlink: bool) -> Path:
-    return staging / (checksum + (_SYMLINK_EXT if symlink else ""))
+def _stage(
+    staging: Path, upper_dir: str, payloads: dict[str, Optional[str]], hook: FaultHook
+) -> tuple[dict[str, str], dict[str, list]]:
+    """Stream every payload once into the pack, hashing it on the way.
 
-
-def _stage_payloads(staging: Path, upper_dir: Path, entries, hook: FaultHook) -> None:
-    """Copy every payload into the staging area under its checksum.
-
-    The free-space check runs before any payload IO so a hopeless stage
-    fails immediately, lower untouched.
+    payloads maps each payload path, in journal order, to its symlink
+    target (None for a regular file).  Returns each path's digest and the
+    pack index, digest -> [offset, length, is_symlink].  The free-space
+    check runs before any payload IO so a hopeless stage fails at once,
+    lower untouched; the pack is fsynced once, after its last payload.
     """
-    sources: list[tuple[JournalEntry, Path, bool]] = []
+    upper = upper_dir.rstrip("/")
     needed = 0
-    for entry in entries:
-        if entry.op is not JournalOp.COPY_TO_LOWER or entry.checksum is None:
-            continue
-        real = upper_dir.joinpath(*model.split_path(entry.path))
-        try:
-            if real.is_symlink():
-                sources.append((entry, real, True))
-            else:
-                needed += real.lstat().st_size
-                sources.append((entry, real, False))
-        except OSError as err:
-            raise StageFailure(f"unreadable upper node {entry.path}: {err}") from err
+    for path, target in payloads.items():
+        if target is None:
+            try:
+                needed += os.lstat(upper + path).st_size
+            except OSError as err:
+                raise StageFailure(f"unreadable upper node {path}: {err}") from err
     free = shutil.disk_usage(staging).free
     if needed > free:
         raise StageFailure(f"insufficient space: need {needed} bytes, {free} free")
 
-    for index, (entry, real, is_symlink) in enumerate(sources):
-        hook("stage-entry", index)
-        target = _payload_path(staging, entry.checksum, is_symlink)
-        if target.exists():
-            continue
-        tmp = target.with_name(target.name + ".tmp")
-        hasher = hashlib.sha256()
-        try:
-            if is_symlink:
-                payload = os.readlink(real).encode("utf-8")
-                hasher.update(payload)
-                tmp.write_bytes(payload)
+    digests: dict[str, str] = {}
+    index: dict[str, list] = {}
+    end = 0  # the pack's length; a duplicate payload written past it is dropped
+    view = memoryview(bytearray(max(1, min(_CHUNK, needed))))  # reused by every file
+    pack = os.open(staging / _PACK, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600)
+    try:
+        for i, (path, target) in enumerate(payloads.items()):
+            hook("stage-entry", i)
+            hasher = hashlib.sha256()
+            if target is None:
+                length = _stream(upper + path, path, pack, end, hasher, view)
             else:
-                with open(real, "rb") as src, open(tmp, "wb") as dst:
-                    while chunk := src.read(1024 * 1024):
-                        hasher.update(chunk)
-                        dst.write(chunk)
-                    dst.flush()
-                    os.fsync(dst.fileno())
-        except OSError as err:
-            raise StageFailure(f"unreadable upper node {entry.path}: {err}") from err
-        if hasher.hexdigest() != entry.checksum:
-            tmp.unlink(missing_ok=True)
-            raise StageFailure(f"payload changed while staging: {entry.path}")
-        os.replace(tmp, target)
+                data = target.encode("utf-8")
+                hasher.update(data)
+                _write_at(pack, data, end)
+                length = len(data)
+            digest = digests[path] = hasher.hexdigest()
+            known = index.get(digest)
+            if known is None:
+                index[digest] = [end, length, target is not None]
+                end += length
+            elif known[2] != (target is not None):
+                # the journal line names only the digest, which must tell
+                # apply what kind of node to make
+                raise StageFailure(f"same bytes as a file and as a symlink: {path}")
+        os.ftruncate(pack, end)
+        os.fsync(pack)
+    finally:
+        os.close(pack)
+    return digests, index
+
+
+def _stream(real: str, path: str, pack: int, offset: int, hasher, view: memoryview) -> int:
+    """Copy the upper file at real into the pack at offset through view,
+    hashing it; returns its length."""
+    try:
+        fd = os.open(real, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC)
+    except OSError as err:
+        raise StageFailure(f"unreadable upper node {path}: {err}") from err
+    try:
+        before = os.fstat(fd)
+        if not stat_m.S_ISREG(before.st_mode):
+            raise StageFailure(f"payload changed while staging: {path}")
+        length = 0
+        while n := os.readv(fd, [view]):
+            chunk = view[:n]
+            hasher.update(chunk)
+            _write_at(pack, chunk, offset + length)
+            length += n
+        after = os.fstat(fd)
+    finally:
+        os.close(fd)
+    if (before.st_size, before.st_mtime_ns) != (after.st_size, after.st_mtime_ns) or length != after.st_size:
+        raise StageFailure(f"payload changed while staging: {path}")
+    return length
+
+
+def _write_at(fd: int, data, offset: int) -> None:
+    view = memoryview(data)
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
 
 
 def _write_journal(path: Path, header: dict, entries) -> None:
@@ -254,42 +308,83 @@ def _read_journal(path: Path) -> tuple[dict, tuple[JournalEntry, ...]]:
 # application and recovery
 
 def _apply(journal_path: Path, header: dict, entries, hook: FaultHook) -> None:
-    lower = Path(header["lower"])
-    staging = journal_path.parent / header["id"]
-
-    for index, entry in enumerate(entries):
-        hook("apply-entry", index)
-        real = lower.joinpath(*model.split_path(entry.path))
-        if entry.op is JournalOp.DELETE_FROM_LOWER:
-            diskfs._rm_real(real)
-        elif entry.op is JournalOp.COPY_TO_LOWER:
-            if entry.checksum is None:
-                if not (real.is_dir() and not real.is_symlink()):
-                    diskfs._rm_real(real)
-                    real.mkdir()
-            else:
-                link_payload = _payload_path(staging, entry.checksum, symlink=True)
-                if link_payload.exists():
-                    diskfs._rm_real(real)
-                    os.symlink(link_payload.read_text(encoding="utf-8"), real)
+    lower = header["lower"]
+    staging = os.path.join(journal_path.parent, header["id"])
+    index = header["pack"]
+    pack = os.open(os.path.join(staging, _PACK), os.O_RDONLY | os.O_CLOEXEC) if index else -1
+    try:
+        for i, entry in enumerate(entries):
+            hook("apply-entry", i)
+            real = os.path.join(lower, *model.split_path(entry.path))
+            if entry.op is JournalOp.DELETE_FROM_LOWER:
+                diskfs._rm_real(real)
+            elif entry.op is JournalOp.COPY_TO_LOWER:
+                if entry.checksum is None:
+                    try:
+                        is_dir = stat_m.S_ISDIR(os.lstat(real).st_mode)
+                    except FileNotFoundError:
+                        is_dir = False
+                    if not is_dir:
+                        diskfs._rm_real(real)
+                        os.mkdir(real)
                 else:
-                    payload = _payload_path(staging, entry.checksum, symlink=False)
-                    tmp = real.with_name(real.name + ".cue-apply-tmp")
+                    offset, length, is_symlink = index[entry.checksum]
                     diskfs._rm_real(real)
-                    shutil.copyfile(payload, tmp)
-                    os.replace(tmp, real)
-        # MARK_OPAQUE_APPLIED: realized by the surrounding deletes
+                    if is_symlink:
+                        target = os.pread(pack, length, offset)
+                        if len(target) != length:
+                            raise StageFailure(f"truncated pack: {length} bytes at {offset}")
+                        os.symlink(target.decode("utf-8"), real)
+                    else:
+                        tmp = real + ".cue-apply-tmp"
+                        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+                        try:
+                            _copy_range(pack, fd, offset, length)
+                        finally:
+                            os.close(fd)
+                        os.replace(tmp, real)
+            # MARK_OPAQUE_APPLIED: realized by the surrounding deletes
+    finally:
+        if pack >= 0:
+            os.close(pack)
 
     hook("apply-done", 0)
     if header.get("clear_upper", True):
-        _clear_dir(Path(header["upper"]))
+        _clear_dir(header["upper"])
     shutil.rmtree(staging, ignore_errors=True)
 
 
-def _clear_dir(path: Path) -> None:
-    if not path.is_dir():
+def _copy_range(src: int, dst: int, offset: int, length: int) -> None:
+    """Copy length bytes at offset of src to the start of dst."""
+    done = 0
+    copy = getattr(os, "copy_file_range", None)  # Linux only
+    try:
+        while copy is not None and done < length:
+            n = copy(src, dst, length - done, offset + done, done)
+            if n == 0:
+                break
+            done += n
+    except OSError as err:
+        # not every kernel copies between filesystems (or at all)
+        if err.errno not in (errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP):
+            raise
+    while done < length:
+        chunk = os.pread(src, min(_CHUNK, length - done), offset + done)
+        if not chunk:
+            break
+        _write_at(dst, chunk, done)
+        done += len(chunk)
+    if done != length:
+        raise StageFailure(f"truncated pack: {length} bytes at {offset}, got {done}")
+
+
+def _clear_dir(path: str) -> None:
+    try:
+        with os.scandir(path) as scan:
+            children = [entry.path for entry in scan]
+    except (FileNotFoundError, NotADirectoryError):
         return
-    for child in path.iterdir():
+    for child in children:
         diskfs._rm_real(child)
 
 

@@ -210,17 +210,19 @@ def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
 # whole-tree load/store (commit's upper, tests, small trees)
 
 def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> LayerTree:
-    """Read a whole layer directory into a model tree."""
+    """Read a whole layer directory into a model tree.  Without deep, files
+    come back as content-less shapes (symlink targets are still read)."""
+    return LayerTree(root=_load(layer_root(root, marker_aware=marker_aware), deep))
 
-    def load(d: _LayerDir) -> Directory:
-        children: dict[str, Node] = {}
-        for name, child in d.children.items():
-            real = d.children.prefix + name
-            deep_child = isinstance(child, _LayerDir)
-            children[name] = load(child) if deep_child else _plain(child, real, content=deep)
-        return Directory(children=children, opaque=d.opaque)
 
-    return LayerTree(root=load(layer_root(root, marker_aware=marker_aware)))
+def _load(d: _LayerDir, deep: bool) -> Directory:
+    children: dict[str, Node] = {}
+    for name, child in d.children.items():
+        if isinstance(child, _LayerDir):
+            children[name] = _load(child, deep)
+        else:
+            children[name] = _plain(child, d.children.prefix + name, content=deep)
+    return Directory(children=children, opaque=d.opaque)
 
 
 def store_tree(tree: LayerTree, root: Path, *, marker_aware: bool = True) -> None:
@@ -459,62 +461,64 @@ class DiskOverlay:
     # -- applying the model's upper delta to disk ---------------------------
 
     def _apply_upper_diff(self, old: LayerTree, new: LayerTree) -> None:
-        def place(parts: tuple[str, ...], node: Node) -> None:
-            real = self.upper.joinpath(*parts)
-            marker = self.upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1])
-            _rm_real(real)
-            marker.unlink(missing_ok=True)
-            if isinstance(node, Whiteout):
+        _diff_into(self.upper, (), old.root, new.root)
+
+
+# module-level, not closures over the view: a nested function that calls
+# itself is a reference cycle, garbage for the cyclic collector on every write
+
+def _diff_into(upper: Path, parts: tuple[str, ...], old: Optional[Node], new: Optional[Node]) -> None:
+    """Make the upper directory at parts go from the old node to the new one."""
+    if old == new:
+        return
+    if new is None:
+        _drop(upper, parts)
+        return
+    if isinstance(old, Directory) and isinstance(new, Directory):
+        if old.opaque != new.opaque:
+            marker = upper.joinpath(*parts, OPAQUE_MARKER)
+            if new.opaque:
                 marker.touch()
-            elif isinstance(node, RegularFile):
-                with open(real, "wb") as fh:
-                    fh.write(node.content)
-            elif isinstance(node, Symlink):
-                os.symlink(node.target, real)
             else:
-                real.mkdir()
-                if node.opaque:
-                    (real / OPAQUE_MARKER).touch()
-
-        def drop(parts: tuple[str, ...]) -> None:
-            real = self.upper.joinpath(*parts)
-            _rm_real(real)
-            self.upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1]).unlink(missing_ok=True)
-
-        def rec(parts: tuple[str, ...], old_node: Optional[Node], new_node: Optional[Node]) -> None:
-            if old_node == new_node:
-                return
-            if new_node is None:
-                drop(parts)
-                return
-            if isinstance(old_node, Directory) and isinstance(new_node, Directory):
-                if old_node.opaque != new_node.opaque:
-                    marker = self.upper.joinpath(*parts, OPAQUE_MARKER)
-                    if new_node.opaque:
-                        marker.touch()
-                    else:
-                        marker.unlink(missing_ok=True)
-                for name in set(old_node.children) | set(new_node.children):
-                    rec(
-                        parts + (name,),
-                        old_node.children.get(name),
-                        new_node.children.get(name),
-                    )
-                return
-            place(parts, new_node)
-            if isinstance(new_node, Directory):
-                for name, child in new_node.children.items():
-                    rec(parts + (name,), None, child)
-
-        rec((), old.root, new.root)
+                marker.unlink(missing_ok=True)
+        for name in set(old.children) | set(new.children):
+            _diff_into(upper, parts + (name,), old.children.get(name), new.children.get(name))
+        return
+    _place(upper, parts, new)
+    if isinstance(new, Directory):
+        for name, child in new.children.items():
+            _diff_into(upper, parts + (name,), None, child)
 
 
-def _rm_real(real: Path) -> None:
+def _place(upper: Path, parts: tuple[str, ...], node: Node) -> None:
+    real = upper.joinpath(*parts)
+    marker = upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1])
+    _rm_real(real)
+    marker.unlink(missing_ok=True)
+    if isinstance(node, Whiteout):
+        marker.touch()
+    elif isinstance(node, RegularFile):
+        with open(real, "wb") as fh:
+            fh.write(node.content)
+    elif isinstance(node, Symlink):
+        os.symlink(node.target, real)
+    else:
+        real.mkdir()
+        if node.opaque:
+            (real / OPAQUE_MARKER).touch()
+
+
+def _drop(upper: Path, parts: tuple[str, ...]) -> None:
+    _rm_real(upper.joinpath(*parts))
+    upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1]).unlink(missing_ok=True)
+
+
+def _rm_real(real: str | Path) -> None:
     try:
-        st = real.lstat()
+        st = os.lstat(real)
     except OSError:
         return
     if stat_m.S_ISDIR(st.st_mode):
         shutil.rmtree(real)
     else:
-        real.unlink()
+        os.unlink(real)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AbsentParent,
@@ -91,6 +91,11 @@ def split_path(path: str) -> tuple[str, ...]:
 
 def join_path(parts) -> str:
     return "/" + "/".join(parts)
+
+
+def _byte_key(name: str) -> bytes:
+    """Sort key ordering names by their UTF-8 bytes."""
+    return name.encode("utf-8")
 
 
 def normalize(path: str) -> str:
@@ -200,14 +205,13 @@ class LayerTree:
 
     def walk(self) -> Iterator[tuple[str, Node]]:
         """Preorder (path, node) pairs, children in byte-sorted name order."""
-
-        def rec(prefix: tuple[str, ...], node: Node) -> Iterator[tuple[str, Node]]:
+        pending: list[tuple[tuple[str, ...], Node]] = [((), self.root)]
+        while pending:
+            prefix, node = pending.pop()
             yield join_path(prefix), node
             if isinstance(node, Directory):
-                for name in sorted(node.children, key=lambda s: s.encode("utf-8")):
-                    yield from rec(prefix + (name,), node.children[name])
-
-        return rec((), self.root)
+                for name in sorted(node.children, key=_byte_key, reverse=True):
+                    pending.append((prefix + (name,), node.children[name]))
 
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -351,7 +355,7 @@ def merged_listing(layers: Sequence[Directory], path: str) -> list[tuple[str, Or
                 names.pop(name, None)
             else:
                 names[name] = origin
-    return [(n, names[n]) for n in sorted(names, key=lambda s: s.encode("utf-8"))]
+    return [(n, names[n]) for n in sorted(names, key=_byte_key)]
 
 
 def resolve(stack: LayerStack, path: str) -> Resolution:
@@ -438,34 +442,35 @@ def flatten(stack: LayerStack) -> LayerTree:
     Resolving any path against {lower: flatten(stack), upper: empty}
     matches resolving it against the stack, modulo the origin tag.
     """
-
-    def merge(upper: Optional[Node], lower: Optional[Node]) -> Optional[Node]:
-        if upper is None:
-            return lower
-        if isinstance(upper, Whiteout):
-            return None
-        if isinstance(upper, Directory):
-            lower_dir = lower if isinstance(lower, Directory) and not upper.opaque else None
-            children: dict[str, Node] = {}
-            if lower_dir is not None:
-                for name, child in lower_dir.children.items():
-                    if name not in upper.children:
-                        children[name] = child
-            for name, child in upper.children.items():
-                merged = merge(
-                    child,
-                    lower_dir.children.get(name) if lower_dir is not None else None,
-                )
-                if merged is not None:
-                    children[name] = merged
-            return Directory(children=children, opaque=False)
-        return upper
-
     root: Optional[Node] = stack.lower.root
     for layer in (*stack.middle, stack.upper):
-        root = merge(layer.root, root)
+        root = _merge_over(layer.root, root)
     assert isinstance(root, Directory)
     return LayerTree(root=root)
+
+
+def _merge_over(upper: Optional[Node], lower: Optional[Node]) -> Optional[Node]:
+    """upper folded over lower, markers applied and dropped."""
+    if upper is None:
+        return lower
+    if isinstance(upper, Whiteout):
+        return None
+    if isinstance(upper, Directory):
+        lower_dir = lower if isinstance(lower, Directory) and not upper.opaque else None
+        children: dict[str, Node] = {}
+        if lower_dir is not None:
+            for name, child in lower_dir.children.items():
+                if name not in upper.children:
+                    children[name] = child
+        for name, child in upper.children.items():
+            merged = _merge_over(
+                child,
+                lower_dir.children.get(name) if lower_dir is not None else None,
+            )
+            if merged is not None:
+                children[name] = merged
+        return Directory(children=children, opaque=False)
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +526,17 @@ def _payload(node: Node) -> Optional[bytes]:
     return None
 
 
-def stage_merge(lower: Directory, upper: Directory) -> tuple[JournalEntry, ...]:
+def _node_checksum(path: str, node: Node) -> str:
+    payload = _payload(node)
+    assert payload is not None
+    return content_checksum(payload)
+
+
+def stage_merge(
+    lower: Directory,
+    upper: Directory,
+    checksum: Callable[[str, Node], str] = _node_checksum,
+) -> tuple[JournalEntry, ...]:
     """Compute the ordered journal that applies the upper root into the
     lower root.
 
@@ -531,60 +546,66 @@ def stage_merge(lower: Directory, upper: Directory) -> tuple[JournalEntry, ...]:
     (children.get) per upper entry, plus one listing under each opaque
     upper directory that sits over a lower directory.  A lazy lower root
     (diskfs.layer_root) is therefore read only along the delta's paths.
+
+    checksum(path, node) gives the CopyToLower entry of each file or
+    symlink its checksum, in journal order.  The default hashes the node's
+    payload, so a value-level upper needs nothing else.  An upper loaded
+    without file content (diskfs.load_tree(..., deep=False)) passes a hook
+    that returns a placeholder per payload instead; cue.commit swaps in the
+    digest it computes while streaming the payload into its staging pack.
     """
     entries: list[JournalEntry] = []
-
-    def sorted_names(d: Directory):
-        # one items() pass: sorted(children) would also call len(), and a
-        # lazy directory lists itself on each
-        return sorted([name for name, _ in d.children.items()], key=lambda s: s.encode("utf-8"))
-
-    def visit(parts: tuple[str, ...], upper: Node, lower: Optional[Node]) -> None:
+    # (parts, upper node, lower children the node's lower counterpart is
+    # looked up in, or None when it has none); lower is looked up when the
+    # entry is visited, in the order the recursive walk would visit it
+    pending: list[tuple[tuple[str, ...], Node, Optional[Mapping[str, Node]]]] = [((), upper, None)]
+    while pending:
+        parts, node, below = pending.pop()
+        if not parts:
+            low: Optional[Node] = lower
+        else:
+            low = below.get(parts[-1]) if below is not None else None
         path = join_path(parts)
-        if isinstance(upper, Whiteout):
-            if lower is not None:
+        if isinstance(node, Whiteout):
+            if low is not None:
                 entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
-            return
-        if isinstance(upper, (RegularFile, Symlink)):
-            if isinstance(lower, Directory):
+            continue
+        if isinstance(node, (RegularFile, Symlink)):
+            if isinstance(low, Directory):
                 entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
-            payload = _payload(upper)
-            assert payload is not None
-            entries.append(
-                JournalEntry(JournalOp.COPY_TO_LOWER, path, content_checksum(payload))
-            )
-            return
+            entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path, checksum(path, node)))
+            continue
         # directory
-        lower_dir = lower if isinstance(lower, Directory) else None
-        if upper.opaque:
+        assert isinstance(node, Directory)
+        lower_dir = low if isinstance(low, Directory) else None
+        if node.opaque:
             entries.append(JournalEntry(JournalOp.MARK_OPAQUE_APPLIED, path))
             if lower_dir is not None:
-                for name in sorted_names(lower_dir):
+                for name in _sorted_names(lower_dir):
                     entries.append(
                         JournalEntry(JournalOp.DELETE_FROM_LOWER, join_path(parts + (name,)))
                     )
-            elif lower is not None:
+            elif low is not None:
                 entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
                 entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
             else:
                 entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
-            for name in sorted_names(upper):
-                visit(parts + (name,), upper.children[name], None)
-            return
-        if lower_dir is None:
-            if lower is not None:
+            lower_dir = None  # an opaque directory merges with nothing below
+        elif lower_dir is None:
+            if low is not None:
                 entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
             if parts:
                 entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
-        for name in sorted_names(upper):
-            visit(
-                parts + (name,),
-                upper.children[name],
-                lower_dir.children.get(name) if lower_dir is not None else None,
-            )
-
-    visit((), upper, lower)
+        below_children = lower_dir.children if lower_dir is not None else None
+        for name in reversed(_sorted_names(node)):
+            pending.append((parts + (name,), node.children[name], below_children))
     return tuple(entries)
+
+
+def _sorted_names(d: Directory) -> list[str]:
+    # one items() pass: sorted(children) would also call len(), and a lazy
+    # directory lists itself on each
+    return sorted([name for name, _ in d.children.items()], key=_byte_key)
 
 
 def apply_journal(

@@ -324,6 +324,38 @@ class TestDestroy:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+    @pytest.mark.parametrize("named", ["outside", "dotdot", "symlink", "state-root"])
+    def test_destroy_refuses_record_naming_paths_outside_state_root(self, env, host, tmp_path, named):
+        # a valid user id whose record was edited to name other trees
+        assert run_cli(env + ["create", "mallory", "--host-root", str(host)])[0] == 0
+        state = tmp_path / "state"
+        record_file = state / "containers" / "User" / "mallory.json"
+        record = json.loads(record_file.read_text())
+        victim = tmp_path / "victim"
+        (victim / "keep").mkdir(parents=True)
+        (state / "volumes" / "link").symlink_to(victim)
+        record["upper_dir"] = {
+            "outside": str(victim),
+            "dotdot": str(state / "volumes" / ".." / ".." / "victim"),
+            "symlink": str(state / "volumes" / "link"),
+            "state-root": str(state),
+        }[named]
+        record_file.write_text(json.dumps(record))
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(env + ["destroy", "mallory", "--yes"])
+        assert code == 2, err
+        assert "upper_dir" in err and "not under the state root" in err and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_destroy_inside_a_symlinked_state_root(self, host, tmp_path):
+        (tmp_path / "real-state").mkdir()
+        (tmp_path / "state-link").symlink_to(tmp_path / "real-state")
+        env = ["--state-root", str(tmp_path / "state-link")]
+        assert run_cli(env + ["create", "alice", "--host-root", str(host)])[0] == 0
+        assert run_cli(env + ["destroy", "alice", "--yes"])[0] == 0
+        assert not (tmp_path / "real-state" / "volumes" / "user" / "alice" / "upper").exists()
+
+
 class TestHelpSnapshots:
     @pytest.mark.parametrize(
         "argv,golden",

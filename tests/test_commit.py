@@ -1,4 +1,8 @@
+import builtins
+import errno
+import gc
 import os
+import random
 import shutil
 
 import pytest
@@ -287,3 +291,251 @@ class TestLazyBase:
         monkeypatch.undo()
         assert list((tmp_path / "journals").iterdir()) == []
         assert (lower / "etc" / "a.conf").read_bytes() == b"old"
+
+
+def base_update_stack() -> LayerStack:
+    """A base-update-sized delta: 20 config edits, a 4 MiB binary swap (and
+    a symlink to it), 5 deletions and a new directory of 10 files over a
+    small base."""
+    rng = random.Random(7)
+    etc = {f"s{i:02d}": {f"c{j:02d}.conf": rng.randbytes(64) for j in range(10)} for i in range(4)}
+    bulk = {f"d{i:02d}": {f"f{j:03d}": rng.randbytes(16) for j in range(20)} for i in range(5)}
+    lower = {"etc": etc, "bin": {"tool": rng.randbytes(4096)}, "opt": {}, **bulk}
+    upper_etc: dict = {}
+    for i, j in sorted(rng.sample([(i, j) for i in range(4) for j in range(10)], 20)):
+        upper_etc.setdefault(f"s{i:02d}", {})[f"c{j:02d}.conf"] = rng.randbytes(rng.randint(64, 4096))
+    upper_bulk: dict = {}
+    for i, j in sorted(rng.sample([(i, j) for i in range(5) for j in range(20)], 5)):
+        upper_bulk.setdefault(f"d{i:02d}", {})[f"f{j:03d}"] = model.Whiteout()
+    upper = {
+        "etc": upper_etc,
+        "bin": {"tool": rng.randbytes(4 * 1024 * 1024), "tool.current": model.Symlink("tool")},
+        "opt": {"pkg00000": {f"lib{n:02d}.so": rng.randbytes(rng.randint(64, 16384)) for n in range(10)}},
+        **upper_bulk,
+    }
+    return LayerStack(lower=stackgen.build_tree(lower), upper=stackgen.build_tree(upper))
+
+
+def find_pack(journals):
+    (pack,) = journals.glob("commit-*/pack")
+    return pack
+
+
+class TestPackStaging:
+    """Each payload is read once, into one pack that is fsynced once."""
+
+    def test_two_fsyncs_per_commit(self, tmp_path, monkeypatch):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+        fsyncs = []
+        fsync = os.fsync
+
+        def record_fsync(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        commit.run_commit(lower, upper, tmp_path / "journals")
+        monkeypatch.undo()
+        assert len(fsyncs) == 2  # the pack, then the journal
+        assert reload_lower(lower) == model.flatten(stack)
+
+    def test_each_payload_opened_once_and_upper_loaded_shallow(self, tmp_path, monkeypatch):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+        opened, loads = [], []
+        os_open, builtin_open, load_tree = os.open, builtins.open, diskfs.load_tree
+
+        def record_os_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return os_open(path, *args, **kwargs)
+
+        def record_open(file, *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append(os.fspath(file))
+            return builtin_open(file, *args, **kwargs)
+
+        def record_load(root, **kwargs):
+            loads.append(kwargs)
+            return load_tree(root, **kwargs)
+
+        monkeypatch.setattr(os, "open", record_os_open)
+        monkeypatch.setattr(builtins, "open", record_open)
+        monkeypatch.setattr(diskfs, "load_tree", record_load)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        monkeypatch.undo()
+
+        payload_paths = [str(upper) + e.path for e in result.entries if e.checksum is not None]
+        assert len(payload_paths) == 32
+        payload_paths.remove(str(upper / "bin" / "tool.current"))  # a symlink: never opened
+        # directories are opened too, by the clearing rmtree
+        assert sorted(p for p in opened if p in payload_paths) == sorted(payload_paths)
+        assert loads == [{"marker_aware": True, "deep": False}]
+        assert reload_lower(lower) == model.flatten(stack)
+
+    def test_identical_payloads_share_one_range(self, tmp_path):
+        stack = LayerStack(
+            lower=model.empty_tree(),
+            upper=stackgen.build_tree({"a": b"same bytes", "b": {"c": b"same bytes"}, "d": b"other"}),
+        )
+        lower, upper = materialize(stack, tmp_path)
+        journals = tmp_path / "journals"
+        sizes = []
+
+        def hook(point, index):
+            if point == "pre-commit":
+                sizes.append(find_pack(journals).stat().st_size)
+
+        result = commit.run_commit(lower, upper, journals, fault_hook=hook)
+        header, _ = commit._read_journal(result.journal_path)
+        digest = model.content_checksum(b"same bytes")
+        assert [e.checksum for e in result.entries if e.checksum] == [
+            digest, digest, model.content_checksum(b"other")
+        ]
+        assert header["pack"] == {
+            digest: [0, 10, False],
+            model.content_checksum(b"other"): [10, 5, False],
+        }
+        assert sizes == [15]
+        assert reload_lower(lower) == model.flatten(stack)
+
+    def test_symlink_round_trips_through_the_pack(self, tmp_path):
+        stack = LayerStack(
+            lower=stackgen.build_tree({"lib": {"libz.so": b"old"}}),
+            upper=stackgen.build_tree({"lib": {
+                "libz.so": model.Symlink("libz.so.1"),
+                "libz.so.1": b"z" * 100,
+                "dangling": model.Symlink("/nowhere/at/all"),
+            }}),
+        )
+        lower, upper = materialize(stack, tmp_path)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        header, _ = commit._read_journal(result.journal_path)
+        assert header["pack"][model.content_checksum(b"libz.so.1")][2] is True
+        assert os.readlink(lower / "lib" / "libz.so") == "libz.so.1"
+        assert os.readlink(lower / "lib" / "dangling") == "/nowhere/at/all"
+        assert reload_lower(lower) == model.flatten(stack)
+
+    def test_file_and_symlink_with_the_same_bytes_are_refused(self, tmp_path):
+        stack = LayerStack(
+            lower=model.empty_tree(),
+            upper=stackgen.build_tree({"f": b"target", "l": model.Symlink("target")}),
+        )
+        lower, upper = materialize(stack, tmp_path)
+        with pytest.raises(StageFailure, match="file and as a symlink"):
+            commit.run_commit(lower, upper, tmp_path / "journals")
+        assert list(lower.iterdir()) == []
+
+    def test_upper_file_growing_mid_stream_fails_the_stage(self, tmp_path, monkeypatch):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+        before = reload_lower(lower)
+        tool = str(upper / "bin" / "tool")
+        readv = os.readv
+        grown = []
+
+        def grow(fd, buffers):
+            n = readv(fd, buffers)
+            if not grown and os.readlink(f"/proc/self/fd/{fd}") == tool:
+                grown.append(True)
+                with open(tool, "ab") as fh:
+                    fh.write(b"appended while staging")
+            return n
+
+        monkeypatch.setattr(os, "readv", grow)
+        journals = tmp_path / "journals"
+        with pytest.raises(StageFailure, match="payload changed while staging: /bin/tool"):
+            commit.run_commit(lower, upper, journals)
+        monkeypatch.undo()
+        assert grown
+        assert reload_lower(lower) == before
+        # the stage failed before its journal was written: nothing is left
+        # that recovery could take for a commit
+        left = sorted(p.name for p in journals.iterdir())
+        assert all(name.endswith(".aborted") for name in left), left
+        assert commit.recover(journals) == []
+
+    def test_copy_without_copy_file_range(self, tmp_path, monkeypatch):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+
+        def unsupported(*args):
+            raise OSError(errno.EXDEV, "cross-device copy")
+
+        monkeypatch.setattr(os, "copy_file_range", unsupported)
+        commit.run_commit(lower, upper, tmp_path / "journals")
+        assert reload_lower(lower) == model.flatten(stack)
+
+    def test_kill_at_every_apply_entry_then_recover(self, tmp_path):
+        stack = base_update_stack()
+        expected = model.flatten(stack)
+        n_entries = len(model.stage_merge(stack.lower.root, stack.upper.root))
+        assert n_entries == 38
+        for kill_at in range(n_entries):
+            lower, upper = materialize(stack, tmp_path, tag=str(kill_at))
+            journals = tmp_path / f"journals{kill_at}"
+
+            def hook(point, index):
+                if point == "apply-entry" and index == kill_at:
+                    os._exit(99)
+
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    commit.run_commit(lower, upper, journals, fault_hook=hook)
+                finally:
+                    os._exit(0)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 99, kill_at
+            actions = commit.recover(journals)
+            assert [state for _, state in actions] == [JournalState.COMMITTED], kill_at
+            assert reload_lower(lower) == expected, kill_at
+            assert list(upper.iterdir()) == [], kill_at
+            assert list(journals.iterdir()) == [actions[0][0]], kill_at
+
+    def test_replaying_a_committed_journal_twice(self, tmp_path):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+        journals = tmp_path / "journals"
+
+        def kill_post_commit(point, index):
+            if point == "post-commit":
+                os._exit(99)
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                commit.run_commit(lower, upper, journals, fault_hook=kill_post_commit)
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        (staging,) = [p for p in journals.iterdir() if p.is_dir()]
+        shutil.copytree(staging, tmp_path / "staging-copy")
+        for _ in range(2):
+            assert [s for _, s in commit.recover(journals)] == [JournalState.COMMITTED]
+            assert reload_lower(lower) == model.flatten(stack)
+            assert not staging.exists()
+            shutil.copytree(tmp_path / "staging-copy", staging)
+        commit.recover(journals)
+        assert reload_lower(lower) == model.flatten(stack)
+
+
+class TestNoCyclicGarbage:
+    """Commit and view writes leave nothing for the cyclic collector."""
+
+    def test_commit_and_view_write_leave_no_cycles(self, tmp_path):
+        stack = base_update_stack()
+        lower, upper = materialize(stack, tmp_path)
+        (tmp_path / "view-upper").mkdir()
+        view = diskfs.DiskOverlay([lower], tmp_path / "view-upper")
+        gc.collect()
+        gc.disable()
+        try:
+            commit.run_commit(lower, upper, tmp_path / "journals")
+            assert gc.collect() == 0
+            view.write_file("/etc/s00/new.conf", b"x" * 100)
+            view.remove("/d00/f000")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert view.resolve("/d00/f000").outcome is model.ResolutionKind.HIDDEN
