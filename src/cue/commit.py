@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -66,6 +67,7 @@ _SUFFIX = {
 }
 _PACK = "pack"  # the staging area's one payload file
 _CHUNK = 1024 * 1024
+_SEQUENCE = itertools.count()  # journal ids taken by this process
 
 
 @dataclass
@@ -93,13 +95,6 @@ def install_env_fault_hook() -> Optional[FaultHook]:
         counter["n"] += 1
 
     return hook
-
-
-def journal_state(path: Path) -> JournalState:
-    for state, suffix in _SUFFIX.items():
-        if path.name.endswith(suffix):
-            return state
-    raise ValueError(f"not a journal file: {path}")
 
 
 def _journal_base(path: Path) -> str:
@@ -148,7 +143,9 @@ def run_commit(
 
     planned = model.stage_merge(lower, upper_tree.root, checksum=slot)
 
-    journal_id = f"commit-{time.strftime('%Y%m%dT%H%M%S')}-{os.getpid()}"
+    # ns clock plus a per-process sequence: unique even for back-to-back
+    # commits, and sorted in commit order
+    journal_id = f"commit-{time.time_ns()}-{os.getpid()}-{next(_SEQUENCE)}"
     staging = journal_dir / journal_id
     staged_path = journal_dir / (journal_id + _SUFFIX[JournalState.STAGED])
     header = {
@@ -284,7 +281,7 @@ def _write_at(fd: int, data, offset: int) -> None:
 
 
 def _write_journal(path: Path, header: dict, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "x", encoding="utf-8") as fh:  # never replaces another journal
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for entry in entries:
             fh.write(entry.to_line() + "\n")
@@ -308,6 +305,8 @@ def _read_journal(path: Path) -> tuple[dict, tuple[JournalEntry, ...]]:
 # application and recovery
 
 def _apply(journal_path: Path, header: dict, entries, hook: FaultHook) -> None:
+    if "pack" not in header:
+        raise StageFailure(f"journal {journal_path} predates the pack format and cannot be replayed")
     lower = header["lower"]
     staging = os.path.join(journal_path.parent, header["id"])
     index = header["pack"]

@@ -19,8 +19,10 @@ a node view, a base path the shared delta removed), a file or symlink
 shadows them (Absent).  Lower layers are read on every lookup, so base
 updates show at once; only upper files this view wrote or resolved are
 path-cached (an upper hit can never be masked by later lower changes).
-Writes diff concrete per-layer slices of the path, as the model updates
-them, back into the upper directory.
+Writes take the same lazy layers: the model plans each write, remove or
+copy-up as a short list of edits to the upper layer (put an empty
+directory, a file or a whiteout at a path, or drop the entry there), and
+the view applies them to the upper directory with a few syscalls each.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from . import model
 from .errors import AbsentPath, HiddenPath, NotADirectory, ReadOnlyView, ReservedName
 from .model import (
     Directory,
-    LayerStack,
     LayerTree,
     Node,
     Origin,
@@ -175,28 +176,6 @@ def _plain(node: Node, real: str, *, content: bool = False) -> Node:
     return node
 
 
-def _load_slice(layer: _LayerDir, parts: tuple[str, ...], *, content: bool, children: bool) -> LayerTree:
-    """Concrete tree of one layer along parts: the ancestor chain, plus the
-    target's content and, optionally, its shallow children."""
-    chain: list[Node] = [layer]
-    for name in parts:
-        node = chain[-1].children.get(name) if isinstance(chain[-1], Directory) else None
-        if node is None:
-            break
-        chain.append(node)
-    real = os.path.join(layer.children.prefix, *parts[: len(chain) - 1])
-    reached = len(chain) == len(parts) + 1
-    target = chain[-1]
-    node = _plain(target, real, content=content and reached)
-    if children and reached and isinstance(target, Directory):
-        kids = {name: _plain(child, real + "/" + name) for name, child in target.children.items()}
-        node = Directory(children=kids, opaque=node.opaque)  # type: ignore[union-attr]
-    for name, parent in zip(reversed(parts[: len(chain) - 1]), reversed(chain[:-1])):
-        node = Directory(children={name: node}, opaque=parent.opaque)  # type: ignore[union-attr]
-    assert isinstance(node, Directory)
-    return LayerTree(root=node)
-
-
 def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
     """A layer directory as a lazy model Directory: a child lookup costs one
     lstat, a listing one scandir, and nothing is read up front."""
@@ -330,15 +309,6 @@ class DiskOverlay:
             raise kind(model.join_path(parts))
         return res
 
-    def _stack_at(self, parts: tuple[str, ...], *, content: bool = False,
-                  children: bool = False) -> LayerStack:
-        """Concrete slices of parts in every layer, for the write path."""
-        slices = [
-            _load_slice(layer, parts, content=content and i == len(self._roots) - 1, children=children)
-            for i, layer in enumerate(self._layers())
-        ]
-        return LayerStack(lower=slices[0], upper=slices[-1], middle=tuple(slices[1:-1]))
-
     # -- read side ----------------------------------------------------------
 
     def resolve(self, path: str) -> Resolution:
@@ -415,12 +385,8 @@ class DiskOverlay:
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        stack = self._stack_at(parts, content=True)
-        new_stack = model.write_file(stack, path, data)
-        clobbered = isinstance(stack.upper.get(path), Directory)
-        self._apply_upper_diff(stack.upper, new_stack.upper)
-        if clobbered:
-            self._file_cache.clear()
+        if self._apply(model.plan_write(self._layers(), parts, data)):
+            self._file_cache.clear()  # a directory was replaced: files below it are gone
         self._file_cache[path] = self.upper.joinpath(*parts)
 
     def path_for_update(self, path: str) -> Path:
@@ -439,9 +405,7 @@ class DiskOverlay:
         real = self.upper.joinpath(*parts)
         if res.outcome is not ResolutionKind.FOUND_UPPER:
             # copy-up: ancestors shallowly, then stream the content across
-            stack = self._stack_at(parts)
-            placeholder = model.write_file(stack, path, b"")
-            self._apply_upper_diff(stack.upper, placeholder.upper)
+            self._apply(model.plan_write(self._layers(), parts, b""))
             with open(self._real(res.layer, parts), "rb") as src:  # type: ignore[arg-type]
                 with open(real, "wb") as dst:
                     shutil.copyfileobj(src, dst, 1024 * 1024)
@@ -453,72 +417,68 @@ class DiskOverlay:
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        stack = self._stack_at(parts, children=True)
-        new_stack = model.remove(stack, path, recursive=recursive)
-        self._apply_upper_diff(stack.upper, new_stack.upper)
+        self._apply(model.plan_remove(self._layers(), parts, recursive))
         self._file_cache.clear()
 
-    # -- applying the model's upper delta to disk ---------------------------
-
-    def _apply_upper_diff(self, old: LayerTree, new: LayerTree) -> None:
-        _diff_into(self.upper, (), old.root, new.root)
-
-
-# module-level, not closures over the view: a nested function that calls
-# itself is a reference cycle, garbage for the cyclic collector on every write
-
-def _diff_into(upper: Path, parts: tuple[str, ...], old: Optional[Node], new: Optional[Node]) -> None:
-    """Make the upper directory at parts go from the old node to the new one."""
-    if old == new:
-        return
-    if new is None:
-        _drop(upper, parts)
-        return
-    if isinstance(old, Directory) and isinstance(new, Directory):
-        if old.opaque != new.opaque:
-            marker = upper.joinpath(*parts, OPAQUE_MARKER)
-            if new.opaque:
-                marker.touch()
-            else:
-                marker.unlink(missing_ok=True)
-        for name in set(old.children) | set(new.children):
-            _diff_into(upper, parts + (name,), old.children.get(name), new.children.get(name))
-        return
-    _place(upper, parts, new)
-    if isinstance(new, Directory):
-        for name, child in new.children.items():
-            _diff_into(upper, parts + (name,), None, child)
+    def _apply(self, edits: list[model.Edit]) -> bool:
+        """Apply the model's edits to the upper directory; True when one
+        replaced or dropped a directory."""
+        upper = self._roots[-1]
+        replaced = False
+        for parts, node in edits:
+            replaced |= _drop(upper, parts) if node is None else _place(upper, parts, node)
+        return replaced
 
 
-def _place(upper: Path, parts: tuple[str, ...], node: Node) -> None:
-    real = upper.joinpath(*parts)
-    marker = upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1])
-    _rm_real(real)
-    marker.unlink(missing_ok=True)
+def _place(upper: str, parts: tuple[str, ...], node: Node) -> bool:
+    """Put node (a whiteout, a regular file or an empty plain directory) at
+    parts in the upper directory, replacing the entry or marker there;
+    True when that was a directory."""
+    real = os.path.join(upper, *parts)
+    marker = os.path.join(upper, *parts[:-1], WH_PREFIX + parts[-1])
     if isinstance(node, Whiteout):
-        marker.touch()
-    elif isinstance(node, RegularFile):
-        with open(real, "wb") as fh:
-            fh.write(node.content)
-    elif isinstance(node, Symlink):
-        os.symlink(node.target, real)
+        replaced = _rm_real(real)
+        os.close(os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666))
+        return replaced
+    _unlink(marker)
+    replaced = False
+    try:
+        _create(real, node)
+    except FileExistsError:  # clear it; creating first saves an lstat when nothing is there
+        replaced = _rm_real(real)
+        _create(real, node)
+    return replaced
+
+
+def _create(real: str, node: Node) -> None:
+    if isinstance(node, Directory):
+        os.mkdir(real)
     else:
-        real.mkdir()
-        if node.opaque:
-            (real / OPAQUE_MARKER).touch()
+        with open(real, "xb") as fh:
+            fh.write(node.content)  # type: ignore[union-attr]
 
 
-def _drop(upper: Path, parts: tuple[str, ...]) -> None:
-    _rm_real(upper.joinpath(*parts))
-    upper.joinpath(*parts[:-1], WH_PREFIX + parts[-1]).unlink(missing_ok=True)
+def _drop(upper: str, parts: tuple[str, ...]) -> bool:
+    replaced = _rm_real(os.path.join(upper, *parts))
+    _unlink(os.path.join(upper, *parts[:-1], WH_PREFIX + parts[-1]))
+    return replaced
 
 
-def _rm_real(real: str | Path) -> None:
+def _unlink(real: str) -> None:
+    try:
+        os.unlink(real)
+    except FileNotFoundError:
+        pass
+
+
+def _rm_real(real: str | Path) -> bool:
+    """Remove the entry at real, if any; True when it was a directory."""
     try:
         st = os.lstat(real)
     except OSError:
-        return
+        return False
     if stat_m.S_ISDIR(st.st_mode):
         shutil.rmtree(real)
-    else:
-        os.unlink(real)
+        return True
+    os.unlink(real)
+    return False

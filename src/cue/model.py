@@ -7,13 +7,15 @@ writable delta on top.  Lookup follows the overlayfs rule: upper entries
 win, whiteouts hide lower entries, opaque directories stop merging with
 the layers below them.
 
-Everything here is a value transformation: operations take a LayerStack
-and return new trees without touching the host filesystem, so the
-runtime's semantics can be exercised and property-tested without any
-privilege.  Resolution is dynamic (nothing is cached), so an updated
-lower tree is visible to the next lookup by construction.  lookup and
-merged_listing take the layers' root directories instead of a stack,
-which is how the disk view feeds them lazily read layers.
+Everything here is a value transformation that never touches the host
+filesystem, so the runtime's semantics can be exercised and
+property-tested without any privilege.  Resolution is dynamic (nothing is
+cached), so an updated lower tree is visible to the next lookup by
+construction.  lookup, merged_listing, plan_write and plan_remove take
+the layers' root directories instead of a stack, which is how the disk
+view feeds them lazily read layers.  A plan is a short list of edits to
+the top layer: write_file and remove apply it to a LayerStack's upper
+tree, the disk view to its upper directory.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ __all__ = [
     "lookup",
     "merged_listing",
     "resolve",
+    "plan_write",
+    "plan_remove",
     "write_file",
     "remove",
     "list_dir",
@@ -163,9 +167,6 @@ class LayerTree:
             node = node.children.get(name)
         return node
 
-    def contains(self, path: str) -> bool:
-        return self.get(path) is not None
-
     def set(self, path: str, node: Node) -> "LayerTree":
         """New tree with node at path; every ancestor must be a Directory."""
         parts = split_path(path)
@@ -212,9 +213,6 @@ class LayerTree:
             if isinstance(node, Directory):
                 for name in sorted(node.children, key=_byte_key, reverse=True):
                     pending.append((prefix + (name,), node.children[name]))
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
 
 
 def _check_plain(tree: LayerTree) -> None:
@@ -289,8 +287,11 @@ def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
 
     Only child lookups (children.get) are made on the way down, and cut-off
     layers are probed only for a path that is not found.  Returns the
-    resolution and, for a directory, the (layer index, directory) pairs
-    that merge at the path, top first.
+    resolution and the trail: trail[d] lists the (layer index, directory)
+    pairs, top first, that merge at parts[:d].  A walk that stops at
+    parts[:d + 1] (nothing there, or a non-directory with parts left) has
+    d + 1 of them; a found path has len(parts) + 1, the last one empty
+    unless the path is a directory.
     """
     top = len(layers) - 1
     merged: list[tuple[int, Directory]] = []
@@ -300,6 +301,7 @@ def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
         if layers[i].opaque:
             cut = [(layers[j], 0) for j in range(i)]
             break
+    trail = [merged]
     node: Optional[Node] = layers[top]
     origin = top
     for depth, name in enumerate(parts):
@@ -321,9 +323,10 @@ def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
                 break
         if node is None or (not isinstance(node, Directory) and depth < len(parts) - 1):
             hidden = any(_holds(d, parts[k:]) for d, k in cut)
-            return Resolution(ResolutionKind.HIDDEN if hidden else ResolutionKind.ABSENT), []
+            return Resolution(ResolutionKind.HIDDEN if hidden else ResolutionKind.ABSENT), trail
+        trail.append(merged)
     kind = ResolutionKind.FOUND_UPPER if origin == top else ResolutionKind.FOUND_LOWER
-    return Resolution(kind, node, origin), merged
+    return Resolution(kind, node, origin), trail
 
 
 def lookup(layers: Sequence[Directory], path: str | tuple[str, ...]) -> Resolution:
@@ -340,22 +343,28 @@ def merged_listing(layers: Sequence[Directory], path: str) -> list[tuple[str, Or
     omitted; an opaque directory drops the entries of the layers below it.
     Only the children's names and whether they are whiteouts are read.
     """
-    res, merged = _walk(layers, split_path(path))
+    res, trail = _walk(layers, split_path(path))
     if res.outcome is ResolutionKind.HIDDEN:
         raise HiddenPath(path)
     if not res.found:
         raise AbsentPath(path)
     if not isinstance(res.node, Directory):
         raise NotADirectory(path)
+    names = _names(trail[-1], len(layers) - 1)
+    return [(n, names[n]) for n in sorted(names, key=_byte_key)]
+
+
+def _names(merged: list[tuple[int, Directory]], top: int) -> dict[str, Origin]:
+    """Names shown by the directories that merge at one path (top first)."""
     names: dict[str, Origin] = {}
     for i, d in reversed(merged):
-        origin = Origin.UPPER if i == len(layers) - 1 else Origin.LOWER
+        origin = Origin.UPPER if i == top else Origin.LOWER
         for name, child in d.children.items():
             if isinstance(child, Whiteout):
                 names.pop(name, None)
             else:
                 names[name] = origin
-    return [(n, names[n]) for n in sorted(names, key=_byte_key)]
+    return names
 
 
 def resolve(stack: LayerStack, path: str) -> Resolution:
@@ -369,68 +378,86 @@ def list_dir(stack: LayerStack, path: str) -> list[tuple[str, Origin]]:
 
 
 # ---------------------------------------------------------------------------
-# mutation (copy-up and whiteout land in upper; lower is never touched)
+# mutation (copy-up and whiteout land in the top layer; the layers below are
+# never touched)
 
-def _require_dir_ancestors(stack: LayerStack, parts: tuple[str, ...]) -> None:
-    for i in range(len(parts) - 1):
-        prefix = join_path(parts[: i + 1])
-        res = resolve(stack, prefix)
-        if res.outcome in (ResolutionKind.HIDDEN, ResolutionKind.ABSENT):
-            raise AbsentParent(prefix)
-        if not isinstance(res.node, Directory):
-            raise NotADirectory(prefix)
+# put node at parts in the top layer, replacing whatever is there, or drop
+# the entry at parts when node is None
+Edit = tuple[tuple[str, ...], Optional[Node]]
 
 
-def _copy_up_dirs(upper: LayerTree, parts: tuple[str, ...]) -> LayerTree:
-    # Shallow copy-up: ancestor directories only, never their siblings.
-    for i in range(len(parts) - 1):
-        prefix = join_path(parts[: i + 1])
-        if upper.get(prefix) is None:
-            upper = upper.set(prefix, Directory(children={}))
-    return upper
-
-
-def write_file(stack: LayerStack, path: str, content: bytes) -> LayerStack:
-    """Place a regular file at path in the upper layer.
-
-    Whatever previously occupied the path in the merged view (file,
-    symlink, whiteout, or a directory subtree) is shadowed or replaced;
-    the layers below are byte-identical afterwards.
+def plan_write(layers: Sequence[Directory], parts: tuple[str, ...], content: bytes) -> list[Edit]:
+    """Edits to the top of layer roots (bottom first) that place a regular
+    file at parts, shadowing or replacing whatever the merged view shows
+    there.  The first ancestor that is not a directory raises AbsentParent
+    when nothing shows there, else NotADirectory.
     """
     if not isinstance(content, (bytes, bytearray)):
         raise TypeError("file content must be bytes")
-    parts = split_path(path)
     if not parts:
         raise IsADirectory("cannot write a file over the root directory")
-    _require_dir_ancestors(stack, parts)
-    upper = _copy_up_dirs(stack.upper, parts)
-    upper = upper.set(path, RegularFile(bytes(content)))
+    _, trail = _walk(layers, parts)
+    if len(trail) < len(parts):
+        prefix = parts[: len(trail)]
+        kind = NotADirectory if lookup(layers, prefix).found else AbsentParent
+        raise kind(join_path(prefix))
+    return [*_copy_up(parts, trail, len(layers) - 1), (parts, RegularFile(bytes(content)))]
+
+
+def plan_remove(layers: Sequence[Directory], parts: tuple[str, ...], recursive: bool = False) -> list[Edit]:
+    """Edits to the top of layer roots (bottom first) that remove parts
+    from the merged view: the top layer's entry is dropped, or replaced by
+    a whiteout when the layers below would still show the path.  Removing
+    a directory that lists children requires recursive=True.
+    """
+    if not parts:
+        raise IsADirectory("cannot remove the root directory")
+    res, trail = _walk(layers, parts)
+    if not res.found:
+        raise AbsentPath(join_path(parts))
+    top = len(layers) - 1
+    if isinstance(res.node, Directory) and not recursive and _names(trail[-1], top):
+        raise DirectoryNotEmpty(join_path(parts))
+    if res.layer == top and not _shows_below(trail[-2], parts[-1], top):
+        return [(parts, None)]
+    return [*_copy_up(parts, trail, top), (parts, Whiteout())]
+
+
+def _copy_up(parts: tuple[str, ...], trail: list, top: int) -> list[Edit]:
+    """Shallow copy-up: an empty directory for each ancestor of parts that
+    the top layer lacks, never their siblings."""
+    return [(parts[:d], Directory()) for d in range(1, len(parts)) if trail[d][0][0] != top]
+
+
+def _shows_below(merged: list[tuple[int, Directory]], name: str, top: int) -> bool:
+    """Whether name shows in the directories that merge at its parent, the
+    top layer left out."""
+    for i, d in merged:
+        child = d.children.get(name) if i != top else None
+        if child is not None:
+            return not isinstance(child, Whiteout)
+    return False
+
+
+def _applied(stack: LayerStack, edits: list[Edit]) -> LayerStack:
+    upper = stack.upper
+    for parts, node in edits:
+        path = join_path(parts)
+        upper = upper.delete(path) if node is None else upper.set(path, node)
     return replace(stack, upper=upper)
+
+
+def write_file(stack: LayerStack, path: str, content: bytes) -> LayerStack:
+    """Place a regular file at path in the upper layer (see plan_write);
+    the layers below are byte-identical afterwards."""
+    roots = [layer.root for layer in stack.layers]
+    return _applied(stack, plan_write(roots, split_path(path), content))
 
 
 def remove(stack: LayerStack, path: str, recursive: bool = False) -> LayerStack:
-    """Remove path from the merged view.
-
-    An occurrence in any layer below the top is hidden with a whiteout; an
-    upper-only node is deleted outright. Removing a directory that lists
-    children requires recursive=True.
-    """
-    parts = split_path(path)
-    if not parts:
-        raise IsADirectory("cannot remove the root directory")
-    res = resolve(stack, path)
-    if not res.found:
-        raise AbsentPath(path)
-    if isinstance(res.node, Directory):
-        if list_dir(stack, path) and not recursive:
-            raise DirectoryNotEmpty(path)
-    upper = stack.upper
-    if upper.get(path) is not None:
-        upper = upper.delete(path)
-    if any(layer.contains(path) for layer in stack.layers[:-1]):
-        upper = _copy_up_dirs(upper, parts)
-        upper = upper.set(path, Whiteout())
-    return replace(stack, upper=upper)
+    """Remove path from the merged view (see plan_remove)."""
+    roots = [layer.root for layer in stack.layers]
+    return _applied(stack, plan_remove(roots, split_path(path), recursive))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +648,7 @@ def apply_journal(
     tree = lower
     for entry in entries:
         if entry.op is JournalOp.DELETE_FROM_LOWER:
-            if tree.contains(entry.path):
+            if tree.get(entry.path) is not None:
                 tree = tree.delete(entry.path)
         elif entry.op is JournalOp.COPY_TO_LOWER:
             if entry.checksum is None:

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import gc
+import json
 import os
 import random
 import shutil
@@ -79,6 +80,31 @@ class TestCommitApplies:
         header, entries = commit._read_journal(result.journal_path)
         assert header["lower"] == str(lower)
         assert entries == result.entries
+
+    def test_back_to_back_commits_keep_every_journal(self, tmp_path):
+        lower, upper = materialize(stackgen.random_stack(5), tmp_path)
+        journals = tmp_path / "journals"
+        results = []
+        for i in range(5):
+            (upper / f"new{i}").write_bytes(b"%d" % i)
+            results.append(commit.run_commit(lower, upper, journals))
+        kept = sorted(journals.glob("*.committed"))
+        assert len(kept) == 5
+        assert kept == sorted(r.journal_path for r in results)
+
+        class Crash(BaseException):
+            pass
+
+        def die_before_the_journal(point, index):
+            if point == "journal-write":
+                raise Crash
+
+        (upper / "late").write_bytes(b"x")
+        with pytest.raises(Crash):
+            commit.run_commit(lower, upper, journals, fault_hook=die_before_the_journal)
+        (orphan,) = [p for p in journals.iterdir() if p.is_dir()]
+        assert commit.recover(journals) == [(orphan, JournalState.ABORTED)]
+        assert not orphan.exists()
 
 
 class TestStageFailure:
@@ -183,6 +209,20 @@ class TestRecovery:
         actions = commit.recover(journals)
         assert not (journals / "commit-orphan-1").exists()
         assert actions
+
+    def test_pre_pack_journal_is_refused(self, tmp_path):
+        stack = LayerStack(lower=stackgen.build_tree({"keep": b"k"}), upper=model.empty_tree())
+        lower, upper = materialize(stack, tmp_path)
+        journals = tmp_path / "journals"
+        old_id = "commit-20250101T000000-1"
+        (journals / old_id).mkdir(parents=True)  # its staging area survives
+        header = {"id": old_id, "lower": str(lower), "upper": str(upper), "clear_upper": True}
+        journal = journals / (old_id + ".committed")
+        journal.write_text(json.dumps(header) + "\nDeleteFromLower /keep -\nEND 1\n")
+        with pytest.raises(StageFailure, match="predates the pack") as err:
+            commit.run_commit(lower, upper, journals)
+        assert str(journal) in str(err.value)
+        assert reload_lower(lower) == stack.lower
 
 
 class TestLazyBase:

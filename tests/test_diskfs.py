@@ -1,5 +1,6 @@
 """Disk-backed layers must agree with the pure model byte for byte."""
 
+import os
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from cue.diskfs import DiskOverlay, load_tree, store_tree, tree_bytes
 from cue.errors import (
     AbsentParent,
     AbsentPath,
+    CueError,
     DirectoryNotEmpty,
     HiddenPath,
     MalformedPath,
@@ -43,6 +45,11 @@ def materialize3(stack: LayerStack, root) -> DiskOverlay:
     store_tree(middle, root / "shared", marker_aware=True)
     store_tree(stack.upper, root / "scratch", marker_aware=True)
     return DiskOverlay([root / "base", root / "shared"], root / "scratch")
+
+
+def entries_under(root) -> list[str]:
+    """Every name under root, markers included, relative to root."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
 def check_view_resolves_as_model(view: DiskOverlay, stack: LayerStack, seed: int) -> None:
@@ -313,7 +320,7 @@ class TestReadPathBuildsNoTrees:
             raise AssertionError("tree built on the read path")
 
         monkeypatch.setattr(LayerTree, "set", forbidden)
-        monkeypatch.setattr(diskfs, "_load_slice", forbidden)
+        monkeypatch.setattr(LayerTree, "delete", forbidden)
         monkeypatch.setattr(model, "flatten", forbidden)
         monkeypatch.setattr(model, "_check_plain", forbidden)
         monkeypatch.setattr(diskfs._LayerEntries, "__eq__", forbidden)
@@ -360,6 +367,98 @@ class TestReadPathBuildsNoTrees:
             view.read_file("/d")
         with pytest.raises(MalformedPath):
             view.read_file("/d/")
+
+
+class TestWritePathBuildsNoTrees:
+    """Writes apply the model's planned edits: no slices, no trees, no diff."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_write_remove_and_copy_up(self, tmp_path, monkeypatch, n):
+        if n == 3:
+            stack = stackgen.random_stack3(11, node_budget=40)
+            view = materialize3(stack, tmp_path)
+        else:
+            stack = stackgen.random_stack(11, node_budget=40)
+            view = materialize(stack, tmp_path / "l", tmp_path / "u")
+        rng = random.Random(n)
+        ops = []
+        whiteouts = []  # paths a remove whited out, for writes to land on
+        copy_ups = over_whiteouts = 0
+        for _ in range(60):
+            kind = rng.choice(["write", "update", "remove", "remove -r"])
+            if kind == "update":
+                files = {p: k[1] for p, k in oracle.visible_paths(stack).items() if k[0] == "file"}
+                path = rng.choice(sorted(files))
+            elif kind == "write" and whiteouts and rng.random() < 0.5:
+                path = whiteouts.pop()
+            else:
+                path = rng.choice(stackgen.probe_paths(stack))
+            try:
+                if kind == "write":
+                    over_whiteouts += isinstance(stack.upper.get(path), Whiteout)
+                    stack = model.write_file(stack, path, b"new")
+                elif kind == "update":  # a copy-up, unless the file is in the upper
+                    copy_ups += model.resolve(stack, path).outcome is ResolutionKind.FOUND_LOWER
+                    stack = model.write_file(stack, path, files[path])
+                else:
+                    stack = model.remove(stack, path, recursive=kind == "remove -r")
+                    whiteouts += [path] * isinstance(stack.upper.get(path), Whiteout)
+            except CueError:
+                continue
+            ops.append((kind, path))
+        assert {kind for kind, _ in ops} == {"write", "update", "remove", "remove -r"}
+        assert copy_ups and over_whiteouts
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tree built on the write path")
+
+        for owner, name in [
+            (LayerTree, "set"), (LayerTree, "delete"), (model, "write_file"),
+            (model, "remove"), (model, "flatten"), (model, "_check_plain"),
+        ]:
+            monkeypatch.setattr(owner, name, forbidden)
+        for kind, path in ops:
+            view = DiskOverlay(view.lowers, view.upper)  # every op uncached
+            if kind == "write":
+                view.write_file(path, b"new")
+            elif kind == "update":
+                view.path_for_update(path)
+            else:
+                view.remove(path, recursive=kind == "remove -r")
+        monkeypatch.undo()
+        assert load_tree(view.upper, marker_aware=True) == stack.upper
+        # and no stale marker is left behind
+        store_tree(stack.upper, tmp_path / "want")
+        assert entries_under(view.upper) == entries_under(tmp_path / "want")
+
+    def test_lstat_bound_at_depth_4(self, layers, monkeypatch):
+        lower, upper = layers
+        for top in ("a", "x"):
+            (lower / top / "b" / "c").mkdir(parents=True)
+            for name in ("f", "g"):
+                (lower / top / "b" / "c" / name).write_bytes(b"x" * 16)
+        calls = []
+        lstat = os.lstat
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return lstat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "lstat", counted)
+        # at most 14 lstats, what the tree-diffing write path made; the first
+        # op under each chain copies its directories up, the second finds them
+        ops = [("write", "/a/b/c/f"), ("write", "/a/b/c/g"), ("remove", "/x/b/c/f"), ("remove", "/x/b/c/g")]
+        for op, path in ops:
+            view = DiskOverlay([lower], upper)
+            calls.clear()
+            if op == "write":
+                view.write_file(path, b"y" * 16)
+            else:
+                view.remove(path)
+            assert len(calls) <= 14, (op, path, calls)
+        monkeypatch.undo()
+        assert (upper / "a" / "b" / "c" / "g").read_bytes() == b"y" * 16
+        assert (upper / "x" / "b" / "c" / ".wh.g").exists()
 
 
 class TestThreeLayerFold:
