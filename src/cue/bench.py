@@ -25,6 +25,8 @@ statistics are recomputable from the raw samples.
 
 from __future__ import annotations
 
+import array
+import fcntl
 import json
 import os
 import shutil
@@ -221,6 +223,30 @@ class StressSpec:
         return self.small_count * self.small_size if self.is_small else self.big_bytes
 
 
+def _spread_allocations(directory: Path) -> None:
+    """Set ext4's FS_TOPDIR_FL on directory, so that each directory made in
+    it starts in a block group of its own.
+
+    Without it, the lower, bare and upper directories start in adjacent
+    block groups and their files spill into each other's.  ext4 without a
+    journal skips inodes freed in the last half minute, so right after
+    another run's mass deletion the two sides come out laid out unlike
+    each other, their files' inodes spread over different numbers of
+    inode-table blocks.  Best effort: other filesystems refuse the flag.
+    """
+    get_flags, set_flags, topdir = 0x80086601, 0x40086602, 0x00020000
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        flags = array.array("i", [0])
+        fcntl.ioctl(fd, get_flags, flags, True)
+        flags[0] |= topdir
+        fcntl.ioctl(fd, set_flags, flags, True)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def _generate_files(target: Path, spec: StressSpec) -> list[str]:
     """Seeded deterministic file set under target/stress; returns the
     container-relative paths."""
@@ -244,27 +270,6 @@ def _generate_files(target: Path, spec: StressSpec) -> list[str]:
                 remaining -= len(chunk)
         names.append("/stress/big.bin")
     return names
-
-
-def _stream_read(path: Path) -> None:
-    # discard sink: bytes are read and dropped
-    with open(path, "rb") as fh:
-        while fh.read(_CHUNK):
-            pass
-
-
-def _stream_flip(path: Path) -> None:
-    # flip every bit, sequentially, in place
-    with open(path, "r+b") as fh:
-        offset = 0
-        while True:
-            chunk = fh.read(_CHUNK)
-            if not chunk:
-                break
-            fh.seek(offset)
-            fh.write(chunk.translate(_INVERT))
-            offset += len(chunk)
-            fh.seek(offset)
 
 
 def _dual_stream_read(first: Path, second: Path) -> tuple[int, int]:
@@ -364,18 +369,6 @@ def _small_paired_pass(
     return view_ns // 1000, bare_ns // 1000
 
 
-def _big_real(spec: StressSpec, view: DiskOverlay, paths: list[str], prepared: dict) -> Path:
-    # resolved once, at warm-up: the open-once/read-many pattern the
-    # kernel's dentry cache gives real containers
-    real = prepared.get("real")
-    if real is None:
-        real = (
-            view.path_for_update(paths[0]) if spec.is_write else view.real_path(paths[0])
-        )
-        prepared["real"] = real
-    return real
-
-
 def bench_file_stress(spec: StressSpec, *, workdir: str | Path) -> BenchReport:
     """Overhead of the layered view versus the bare lower tree.
 
@@ -398,15 +391,16 @@ def bench_file_stress(spec: StressSpec, *, workdir: str | Path) -> BenchReport:
         )
 
     area = workdir / "stress-run"
+    area.mkdir(parents=True)
+    _spread_allocations(area)  # the view's layers and the bare tree: one block group each
     lower = area / "lower"
     upper = area / "upper"
     bare = area / "bare"
-    upper.mkdir(parents=True)
+    upper.mkdir()
     paths = _generate_files(lower, spec)
     _generate_files(bare, spec)
     view = DiskOverlay([lower], upper)
     bare_reals = [bare.joinpath(*p.strip("/").split("/")) for p in paths]
-    prepared: dict = {}
 
     overlay_samples: list[int] = []
     bare_samples: list[int] = []
@@ -429,7 +423,9 @@ def bench_file_stress(spec: StressSpec, *, workdir: str | Path) -> BenchReport:
             # slow machine period charges both sides alike, and each sample
             # is the median pass duration, shedding leftover spikes
             dual = _dual_stream_flip if spec.is_write else _dual_stream_read
-            overlay_real = _big_real(spec, view, paths, prepared)
+            # resolved once, before the warm-up: the open-once/read-many
+            # pattern the kernel's dentry cache gives real containers
+            overlay_real = view.path_for_update(paths[0]) if spec.is_write else view.real_path(paths[0])
             bare_real = bare_reals[0]
             dual(overlay_real, bare_real)  # warm-up, untimed
             for _ in range(spec.iterations):

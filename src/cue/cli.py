@@ -28,7 +28,7 @@ from . import cluster as cluster_mod
 from . import commit as commit_mod
 from .capabilities import root_sandbox_policy, user_policy
 from .errors import CueError, Duplicate, InvalidConfig, NotFound
-from .executor import execute, meta_path
+from .executor import execute, load_meta
 from .planner import (
     DEFAULT_ENTRY,
     ROOT_SANDBOX_USER,
@@ -258,12 +258,9 @@ def cmd_enter(args) -> int:
     if record is None:
         raise NotFound(f"no such container: {kind}/{user}")
     command = tuple(_split_remainder(args.run_args))
-    meta = {}
-    meta_file = meta_path(record.work_dir)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    backend = args.backend or meta.get("backend", "sandbox")
-    host_root = meta.get("lower", "/")
+    meta = load_meta(record.work_dir)  # NotFound when missing: never guess the base
+    backend = args.backend or meta["backend"]
+    host_root = meta["lower"]
     if kind == "RootSandbox":
         scratch = str(Path(record.upper_dir).parent)
         plan = plan_sandbox_update(host_root, scratch, entry_command=command or DEFAULT_ENTRY)
@@ -291,14 +288,9 @@ def cmd_commit(args) -> int:
     record = registry.lookup(ROOT_SANDBOX_USER, "RootSandbox")
     if record is None:
         raise NotFound("no root sandbox; run `cue create --root-sandbox` first")
-    meta_file = meta_path(record.work_dir)
-    lower = "/"
-    if meta_file.exists():
-        lower = json.loads(meta_file.read_text()).get("lower", "/")
+    lower = load_meta(record.work_dir)["lower"]  # NotFound when missing: never guess the base
     with registry.acquire_commit_lock(blocking=False):
-        result = commit_mod.run_commit(
-            lower, record.upper_dir, registry.journal_dir()
-        )
+        result = commit_mod.run_commit(lower, record.upper_dir, registry.journal_dir())
     # the journal is retained under the state root and mirrored into the
     # container's work directory for inspection alongside its transcript
     work = Path(record.work_dir)

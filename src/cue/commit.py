@@ -1,8 +1,9 @@
 """Transactional merge of an upper layer into the lower layer on disk.
 
-The administrator's global update runs in two phases.  Staging computes
-the journal from the pure model, streams every payload into one pack file
-in the staging area, and writes the journal file (`*.staged`): nothing in
+The administrator's global update runs in two phases.  Staging plans the
+merge with the pure model (model.stage_merge: the edits that turn the
+base into the merged tree), streams every payload into one pack file in
+the staging area, and writes the journal file (`*.staged`): nothing in
 the lower tree has been touched, and any interruption leaves a journal
 that recovery marks `*.aborted`.  The commit point is a single atomic
 rename to `*.committed`; after it, entries are applied to the lower tree
@@ -16,26 +17,34 @@ Planning reads the upper layer's shape without file content and the base
 only along the delta's paths: the base reaches the model as a lazy
 directory (one lstat per probed path, one scandir under each opaque upper
 directory that covers a base directory), so the plan costs what the delta
-costs, not what the base costs.  The plan leaves a placeholder where each
-payload's checksum goes.
+costs, not what the base costs.
 
 Staging reads each payload once: it streams the file through one reused
 buffer into `<staging>/pack`, hashing as it goes, and an upper file whose
 size or mtime changes meanwhile fails the stage.  Identical payloads take
-one range of the pack.  The pack is fsynced once, before the journal is
-written and fsynced, so payload data is durable before the commit point;
-a whole stage costs two fsyncs.  The journal header's "pack" maps each
-digest to [offset, length, is_symlink], which apply and recovery copy out
-of the pack with copy_file_range.
+one range of the pack, whatever kind of node they belong to.  The pack is
+fsynced once, before the journal is written and fsynced, so payload data
+is durable before the commit point; a whole stage costs two fsyncs.
 
-Journals are retained under `<state_root>/journals`.  Callers must hold
-the registry's exclusive commit lock.
+This module owns the journal file format.  Line one is a JSON header:
+"format" (FORMAT), "id", "lower", "upper", and "pack", which maps each
+payload digest (sha256 hex) to its [offset, length] in the pack.  Then
+one line per edit, `<kind> <path> <digest|->`:
+
+    drop <path> -         remove the entry at path, if any
+    dir <path> -          make sure a plain directory is there, keeping one that is
+    file <path> <digest>  put a regular file holding the payload, replacing whatever is there
+    link <path> <digest>  put a symlink whose target is the payload, likewise
+
+and last `END <entry count>`.  Recovery refuses a journal in any other
+format with a StageFailure naming it.  Journals are retained under
+`<state_root>/journals`.  Callers must hold the registry's exclusive
+commit lock.
 
 Fault injection: pass fault_hook(point, index); it is invoked at every
-staging step and around the commit point, and may raise (or kill the
-process) to simulate a crash.  The env var CUE_COMMIT_KILL_AT=<n> arms a
-hook that hard-kills the process at the n-th point, for multi-process
-fault drills.
+staging step, around the commit point and before each applied entry
+(index: the entry's position in the journal), and may raise (or kill the
+process) to simulate a crash.
 """
 
 from __future__ import annotations
@@ -48,16 +57,17 @@ import os
 import shutil
 import stat as stat_m
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diskfs, model
 from .errors import StageFailure
-from .model import JournalEntry, JournalOp, JournalState
+from .model import Directory, JournalState, RegularFile, Symlink
 
-__all__ = ["CommitResult", "run_commit", "recover", "install_env_fault_hook"]
+__all__ = ["FORMAT", "Entry", "CommitResult", "run_commit", "recover"]
 
+FORMAT = 3  # the two formats before it wrote no "format" field
 FaultHook = Callable[[str, int], None]
 
 _SUFFIX = {
@@ -70,31 +80,40 @@ _CHUNK = 1024 * 1024
 _SEQUENCE = itertools.count()  # journal ids taken by this process
 
 
+class Entry(NamedTuple):
+    """One journal line: an edit to the base, its payload named by digest."""
+
+    kind: str  # drop, dir, file or link
+    path: str
+    digest: Optional[str] = None  # file and link only
+
+    def line(self) -> str:
+        return f"{self.kind} {self.path} {self.digest or '-'}"
+
+    @classmethod
+    def parse(cls, line: str) -> "Entry":
+        kind, rest = line.split(" ", 1)
+        path, digest = rest.rsplit(" ", 1)
+        return cls(kind, path, None if digest == "-" else digest)
+
+
+def _kind(node: Optional[model.Node]) -> str:
+    if node is None:
+        return "drop"
+    if isinstance(node, Directory):
+        return "dir"
+    return "link" if isinstance(node, Symlink) else "file"
+
+
 @dataclass
 class CommitResult:
     journal_path: Path
     state: JournalState
-    entries: tuple[JournalEntry, ...]
+    entries: tuple[Entry, ...]
 
     @property
     def applied(self) -> bool:
         return self.state is JournalState.COMMITTED
-
-
-def install_env_fault_hook() -> Optional[FaultHook]:
-    """Hook that hard-kills the process at the CUE_COMMIT_KILL_AT-th point."""
-    armed = os.environ.get("CUE_COMMIT_KILL_AT")
-    if armed is None:
-        return None
-    target = int(armed)
-    counter = {"n": 0}
-
-    def hook(point: str, index: int) -> None:
-        if counter["n"] == target:
-            os._exit(99)
-        counter["n"] += 1
-
-    return hook
 
 
 def _journal_base(path: Path) -> str:
@@ -114,7 +133,6 @@ def run_commit(
     upper_dir: str | Path,
     journal_dir: str | Path,
     *,
-    clear_upper: bool = True,
     fault_hook: Optional[FaultHook] = None,
 ) -> CommitResult:
     """Merge upper_dir into lower_dir; both are plain layer directories.
@@ -126,7 +144,7 @@ def run_commit(
     upper_dir = Path(upper_dir)
     journal_dir = Path(journal_dir)
     journal_dir.mkdir(parents=True, exist_ok=True)
-    hook = fault_hook or install_env_fault_hook() or (lambda point, index: None)
+    hook = fault_hook or (lambda point, index: None)
 
     recover(journal_dir)  # finish or abort anything a dead process left
 
@@ -135,32 +153,18 @@ def run_commit(
         upper_tree = diskfs.load_tree(upper_dir, marker_aware=True, deep=False)
     except OSError as err:
         raise StageFailure(f"unreadable upper layer: {err}") from err
-    payloads: dict[str, Optional[str]] = {}  # path -> symlink target, None for a file
-
-    def slot(path: str, node: model.Node) -> str:
-        payloads[path] = node.target if isinstance(node, model.Symlink) else None
-        return path  # placeholder until staging has streamed the digest
-
-    planned = model.stage_merge(lower, upper_tree.root, checksum=slot)
+    edits = model.stage_merge(lower, upper_tree.root)
 
     # ns clock plus a per-process sequence: unique even for back-to-back
     # commits, and sorted in commit order
     journal_id = f"commit-{time.time_ns()}-{os.getpid()}-{next(_SEQUENCE)}"
     staging = journal_dir / journal_id
     staged_path = journal_dir / (journal_id + _SUFFIX[JournalState.STAGED])
-    header = {
-        "id": journal_id,
-        "lower": str(lower_dir),
-        "upper": str(upper_dir),
-        "clear_upper": clear_upper,
-    }
+    header = {"format": FORMAT, "id": journal_id, "lower": str(lower_dir), "upper": str(upper_dir)}
 
     try:
         staging.mkdir()
-        digests, header["pack"] = _stage(staging, str(upper_dir), payloads, hook)
-        entries = tuple(
-            e if e.checksum is None else replace(e, checksum=digests[e.path]) for e in planned
-        )
+        entries, header["pack"] = _stage(staging, str(upper_dir), edits, hook)
         hook("journal-write", 0)
         _write_journal(staged_path, header, entries)
         hook("pre-commit", 0)
@@ -194,20 +198,21 @@ def _abort_stage(staged_path: Path, staging: Path) -> None:
 # staging
 
 def _stage(
-    staging: Path, upper_dir: str, payloads: dict[str, Optional[str]], hook: FaultHook
-) -> tuple[dict[str, str], dict[str, list]]:
-    """Stream every payload once into the pack, hashing it on the way.
+    staging: Path, upper_dir: str, edits: Sequence[model.Edit], hook: FaultHook
+) -> tuple[tuple[Entry, ...], dict[str, list[int]]]:
+    """Journal entries for the edits, each payload streamed once into the
+    pack and hashed on the way.
 
-    payloads maps each payload path, in journal order, to its symlink
-    target (None for a regular file).  Returns each path's digest and the
-    pack index, digest -> [offset, length, is_symlink].  The free-space
-    check runs before any payload IO so a hopeless stage fails at once,
-    lower untouched; the pack is fsynced once, after its last payload.
+    Returns the entries and the pack index, digest -> [offset, length].
+    The free-space check runs before any payload IO so a hopeless stage
+    fails at once, lower untouched; the pack is fsynced once, after its
+    last payload.
     """
     upper = upper_dir.rstrip("/")
     needed = 0
-    for path, target in payloads.items():
-        if target is None:
+    for parts, node in edits:
+        if isinstance(node, RegularFile):
+            path = model.join_path(parts)
             try:
                 needed += os.lstat(upper + path).st_size
             except OSError as err:
@@ -216,36 +221,36 @@ def _stage(
     if needed > free:
         raise StageFailure(f"insufficient space: need {needed} bytes, {free} free")
 
-    digests: dict[str, str] = {}
-    index: dict[str, list] = {}
+    entries: list[Entry] = []
+    index: dict[str, list[int]] = {}
     end = 0  # the pack's length; a duplicate payload written past it is dropped
     view = memoryview(bytearray(max(1, min(_CHUNK, needed))))  # reused by every file
     pack = os.open(staging / _PACK, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600)
     try:
-        for i, (path, target) in enumerate(payloads.items()):
+        for i, (parts, node) in enumerate(edits):
+            kind, path = _kind(node), model.join_path(parts)
+            if kind in ("drop", "dir"):
+                entries.append(Entry(kind, path))
+                continue
             hook("stage-entry", i)
             hasher = hashlib.sha256()
-            if target is None:
-                length = _stream(upper + path, path, pack, end, hasher, view)
-            else:
-                data = target.encode("utf-8")
+            if isinstance(node, Symlink):
+                data = node.target.encode("utf-8")
                 hasher.update(data)
                 _write_at(pack, data, end)
                 length = len(data)
-            digest = digests[path] = hasher.hexdigest()
-            known = index.get(digest)
-            if known is None:
-                index[digest] = [end, length, target is not None]
+            else:
+                length = _stream(upper + path, path, pack, end, hasher, view)
+            digest = hasher.hexdigest()
+            if digest not in index:
+                index[digest] = [end, length]
                 end += length
-            elif known[2] != (target is not None):
-                # the journal line names only the digest, which must tell
-                # apply what kind of node to make
-                raise StageFailure(f"same bytes as a file and as a symlink: {path}")
+            entries.append(Entry(kind, path, digest))
         os.ftruncate(pack, end)
         os.fsync(pack)
     finally:
         os.close(pack)
-    return digests, index
+    return tuple(entries), index
 
 
 def _stream(real: str, path: str, pack: int, offset: int, hasher, view: memoryview) -> int:
@@ -280,76 +285,78 @@ def _write_at(fd: int, data, offset: int) -> None:
         view, offset = view[n:], offset + n
 
 
-def _write_journal(path: Path, header: dict, entries) -> None:
+def _write_journal(path: Path, header: dict, entries: tuple[Entry, ...]) -> None:
     with open(path, "x", encoding="utf-8") as fh:  # never replaces another journal
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for entry in entries:
-            fh.write(entry.to_line() + "\n")
+            fh.write(entry.line() + "\n")
         fh.write(f"END {len(entries)}\n")
         fh.flush()
         os.fsync(fh.fileno())
 
 
-def _read_journal(path: Path) -> tuple[dict, tuple[JournalEntry, ...]]:
+def _read_journal(path: Path) -> tuple[dict, tuple[Entry, ...]]:
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
+    if header.get("format") != FORMAT:
+        raise StageFailure(
+            f"journal {path} is in format {header.get('format')}, not {FORMAT}, and cannot be replayed"
+        )
     body = lines[1:]
     if not body or not body[-1].startswith("END "):
         raise StageFailure(f"truncated journal: {path}")
     if int(body[-1].split()[1]) != len(body) - 1:
         raise StageFailure(f"journal entry count mismatch: {path}")
-    return header, tuple(JournalEntry.from_line(line) for line in body[:-1])
+    return header, tuple(Entry.parse(line) for line in body[:-1])
 
 
 # ---------------------------------------------------------------------------
 # application and recovery
 
-def _apply(journal_path: Path, header: dict, entries, hook: FaultHook) -> None:
-    if "pack" not in header:
-        raise StageFailure(f"journal {journal_path} predates the pack format and cannot be replayed")
+def _apply(journal_path: Path, header: dict, entries: tuple[Entry, ...], hook: FaultHook) -> None:
     lower = header["lower"]
     staging = os.path.join(journal_path.parent, header["id"])
     index = header["pack"]
     pack = os.open(os.path.join(staging, _PACK), os.O_RDONLY | os.O_CLOEXEC) if index else -1
     try:
-        for i, entry in enumerate(entries):
+        for i, (kind, path, digest) in enumerate(entries):
             hook("apply-entry", i)
-            real = os.path.join(lower, *model.split_path(entry.path))
-            if entry.op is JournalOp.DELETE_FROM_LOWER:
+            real = os.path.join(lower, *model.split_path(path))
+            if kind == "drop":
                 diskfs._rm_real(real)
-            elif entry.op is JournalOp.COPY_TO_LOWER:
-                if entry.checksum is None:
-                    try:
-                        is_dir = stat_m.S_ISDIR(os.lstat(real).st_mode)
-                    except FileNotFoundError:
-                        is_dir = False
-                    if not is_dir:
+            elif kind == "dir":
+                try:
+                    os.mkdir(real)
+                except FileExistsError:
+                    if not stat_m.S_ISDIR(os.lstat(real).st_mode):
                         diskfs._rm_real(real)
                         os.mkdir(real)
-                else:
-                    offset, length, is_symlink = index[entry.checksum]
-                    diskfs._rm_real(real)
-                    if is_symlink:
-                        target = os.pread(pack, length, offset)
-                        if len(target) != length:
-                            raise StageFailure(f"truncated pack: {length} bytes at {offset}")
-                        os.symlink(target.decode("utf-8"), real)
-                    else:
-                        tmp = real + ".cue-apply-tmp"
-                        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
-                        try:
-                            _copy_range(pack, fd, offset, length)
-                        finally:
-                            os.close(fd)
-                        os.replace(tmp, real)
-            # MARK_OPAQUE_APPLIED: realized by the surrounding deletes
+            elif kind == "link":
+                offset, length = index[digest]
+                target = os.pread(pack, length, offset)
+                if len(target) != length:
+                    raise StageFailure(f"truncated pack: {length} bytes at {offset}")
+                diskfs._rm_real(real)
+                os.symlink(target.decode("utf-8"), real)
+            else:
+                offset, length = index[digest]
+                # removed first, not renamed over: ext4 (auto_da_alloc)
+                # writes a file renamed over another out at once, about
+                # 100 times slower for a 4 MiB file
+                diskfs._rm_real(real)
+                tmp = real + ".cue-apply-tmp"
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+                try:
+                    _copy_range(pack, fd, offset, length)
+                finally:
+                    os.close(fd)
+                os.replace(tmp, real)
     finally:
         if pack >= 0:
             os.close(pack)
 
     hook("apply-done", 0)
-    if header.get("clear_upper", True):
-        _clear_dir(header["upper"])
+    _clear_dir(header["upper"])
     shutil.rmtree(staging, ignore_errors=True)
 
 

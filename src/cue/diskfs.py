@@ -258,14 +258,12 @@ class DiskOverlay:
         lowers: Sequence[Path | str],
         upper: Path | str,
         *,
-        read_only: bool = False,
         masks: Sequence[tuple[str, str]] = (),
     ):
         if not lowers:
             raise ValueError("at least one lower layer required")
         self.lowers = [Path(p) for p in lowers]
         self.upper = Path(upper)
-        self.read_only = read_only
         self.masks = [(model.normalize(p), mode) for p, mode in masks]
         for _, mode in self.masks:
             if mode not in ("empty", "ro"):
@@ -285,8 +283,6 @@ class DiskOverlay:
         return best
 
     def _check_writable(self, path: str) -> None:
-        if self.read_only:
-            raise ReadOnlyView(f"view is read-only: {path}")
         mask = self._mask_at(path)
         if mask is not None:
             raise ReadOnlyView(f"path is masked {mask[1]}: {path}")
@@ -332,7 +328,6 @@ class DiskOverlay:
             res.outcome is ResolutionKind.FOUND_UPPER
             and isinstance(res.node, RegularFile)
             and mask is None
-            and not self.read_only
         ):
             self._file_cache[path] = Path(real)
         return res

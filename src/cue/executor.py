@@ -173,15 +173,11 @@ class _Execution:
         err.report = self.report  # type: ignore[attr-defined]
         return err
 
-    def _write_transcript_and_unwind(self) -> list[str]:
+    def _write_transcript_and_unwind(self) -> None:
         # transcript first: unwinding may remove the work dir itself
         self._write_transcript([])
-        unwound = []
         for path in reversed(self.created_dirs):
-            if path.exists():
-                shutil.rmtree(path, ignore_errors=True)
-                unwound.append(str(path))
-        return unwound
+            shutil.rmtree(path, ignore_errors=True)
 
     def _write_transcript(self, extra: list[str]) -> None:
         work = Path(self.cfg.work_dir)

@@ -297,7 +297,7 @@ class KernelWorker:
         os._exit(rc if rc >= 0 else 128 - rc)
 
     def _child_inner(self, fd: int) -> None:
-        from .planner import BindMode, StepKind
+        from .planner import StepKind
 
         cfg = self.plan.config
         mounted: list[str] = []

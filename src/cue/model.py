@@ -11,11 +11,17 @@ Everything here is a value transformation that never touches the host
 filesystem, so the runtime's semantics can be exercised and
 property-tested without any privilege.  Resolution is dynamic (nothing is
 cached), so an updated lower tree is visible to the next lookup by
-construction.  lookup, merged_listing, plan_write and plan_remove take
-the layers' root directories instead of a stack, which is how the disk
-view feeds them lazily read layers.  A plan is a short list of edits to
-the top layer: write_file and remove apply it to a LayerStack's upper
-tree, the disk view to its upper directory.
+construction.  lookup, merged_listing, plan_write, plan_remove and
+stage_merge take the layers' root directories instead of a stack, which
+is how the disk view and the commit feed them lazily read layers.
+
+Every change is planned as one kind of list, the Edit list: drop an
+entry, make sure a plain directory is there, or put a file, symlink or
+whiteout.  A view write or remove plans edits to the top layer, a merge
+of the upper into the lower (the administrator's base update) plans edits
+to the lower.  One applier, apply_journal, applies either to a tree value
+(write_file, remove, merge_down); the disk view applies them to its upper
+directory, cue.commit journals and applies them to the base on disk.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AbsentParent,
@@ -46,8 +52,7 @@ __all__ = [
     "Origin",
     "ResolutionKind",
     "Resolution",
-    "JournalOp",
-    "JournalEntry",
+    "Edit",
     "JournalState",
     "MergeJournal",
     "split_path",
@@ -381,8 +386,11 @@ def list_dir(stack: LayerStack, path: str) -> list[tuple[str, Origin]]:
 # mutation (copy-up and whiteout land in the top layer; the layers below are
 # never touched)
 
-# put node at parts in the top layer, replacing whatever is there, or drop
-# the entry at parts when node is None
+# One edit to a layer tree.  (parts, None) drops the entry at parts, if
+# any; (parts, Directory()) makes sure a plain directory is there, keeping
+# one that already is; (parts, node) puts a file, symlink or whiteout
+# there, replacing whatever is there.  View writes plan edits to the top
+# layer, a merge plans them to the lower (stage_merge).
 Edit = tuple[tuple[str, ...], Optional[Node]]
 
 
@@ -439,25 +447,31 @@ def _shows_below(merged: list[tuple[int, Directory]], name: str, top: int) -> bo
     return False
 
 
-def _applied(stack: LayerStack, edits: list[Edit]) -> LayerStack:
-    upper = stack.upper
+def apply_journal(tree: LayerTree, edits: Sequence[Edit]) -> LayerTree:
+    """Apply edits in order to a layer tree: a view's plan to its top
+    layer, a merge journal (stage_merge) to its lower.  Applying a list
+    again to the tree it produced gives the same tree."""
     for parts, node in edits:
-        path = join_path(parts)
-        upper = upper.delete(path) if node is None else upper.set(path, node)
-    return replace(stack, upper=upper)
+        existing = tree.get(join_path(parts))
+        if node is None:
+            if existing is not None:
+                tree = tree._rebuilt(parts, None)
+        elif not (isinstance(node, Directory) and isinstance(existing, Directory)):
+            tree = tree._rebuilt(parts, node)
+    return tree
 
 
 def write_file(stack: LayerStack, path: str, content: bytes) -> LayerStack:
     """Place a regular file at path in the upper layer (see plan_write);
     the layers below are byte-identical afterwards."""
     roots = [layer.root for layer in stack.layers]
-    return _applied(stack, plan_write(roots, split_path(path), content))
+    return replace(stack, upper=apply_journal(stack.upper, plan_write(roots, split_path(path), content)))
 
 
 def remove(stack: LayerStack, path: str, recursive: bool = False) -> LayerStack:
     """Remove path from the merged view (see plan_remove)."""
     roots = [layer.root for layer in stack.layers]
-    return _applied(stack, plan_remove(roots, split_path(path), recursive))
+    return replace(stack, upper=apply_journal(stack.upper, plan_remove(roots, split_path(path), recursive)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +515,10 @@ def _merge_over(upper: Optional[Node], lower: Optional[Node]) -> Optional[Node]:
 
 
 # ---------------------------------------------------------------------------
-# merge-down (the transactional base update, staged as a journal)
+# merge-down (the transactional base update, planned as edits to the lower)
 
 def content_checksum(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
-
-
-class JournalOp(Enum):
-    COPY_TO_LOWER = "CopyToLower"
-    DELETE_FROM_LOWER = "DeleteFromLower"
-    MARK_OPAQUE_APPLIED = "MarkOpaqueApplied"
 
 
 class JournalState(Enum):
@@ -520,113 +528,50 @@ class JournalState(Enum):
 
 
 @dataclass(frozen=True)
-class JournalEntry:
-    op: JournalOp
-    path: str
-    checksum: Optional[str] = None  # sha256 hex of the payload, files/symlinks only
-
-    def to_line(self) -> str:
-        return f"{self.op.value} {self.path} {self.checksum or '-'}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "JournalEntry":
-        head, checksum = line.rsplit(" ", 1)
-        kind, path = head.split(" ", 1)
-        return cls(
-            op=JournalOp(kind),
-            path=path,
-            checksum=None if checksum == "-" else checksum,
-        )
-
-
-@dataclass(frozen=True)
 class MergeJournal:
-    entries: tuple[JournalEntry, ...]
+    entries: tuple[Edit, ...]
     state: JournalState
 
 
-def _payload(node: Node) -> Optional[bytes]:
-    if isinstance(node, RegularFile):
-        return node.content
-    if isinstance(node, Symlink):
-        return node.target.encode("utf-8")
-    return None
+def stage_merge(lower: Directory, upper: Directory) -> list[Edit]:
+    """The edits to the lower root that merge the upper root into it.
 
-
-def _node_checksum(path: str, node: Node) -> str:
-    payload = _payload(node)
-    assert payload is not None
-    return content_checksum(payload)
-
-
-def stage_merge(
-    lower: Directory,
-    upper: Directory,
-    checksum: Callable[[str, Node], str] = _node_checksum,
-) -> tuple[JournalEntry, ...]:
-    """Compute the ordered journal that applies the upper root into the
-    lower root.
-
-    Replaying the entries over lower yields flatten(LayerStack(lower,
-    upper)); the walk is deterministic (preorder, byte-sorted names).  It
-    walks upper and reads lower only along upper's paths: one child lookup
-    (children.get) per upper entry, plus one listing under each opaque
-    upper directory that sits over a lower directory.  A lazy lower root
-    (diskfs.layer_root) is therefore read only along the delta's paths.
-
-    checksum(path, node) gives the CopyToLower entry of each file or
-    symlink its checksum, in journal order.  The default hashes the node's
-    payload, so a value-level upper needs nothing else.  An upper loaded
-    without file content (diskfs.load_tree(..., deep=False)) passes a hook
-    that returns a placeholder per payload instead; cue.commit swaps in the
-    digest it computes while streaming the payload into its staging pack.
+    Applied in order (apply_journal), they turn lower into
+    flatten(LayerStack(lower, upper)): a whiteout over a lower entry, and
+    each lower child under an opaque directory, is dropped; a directory
+    the lower lacks (or holds as a non-directory) is made; a file or
+    symlink is put.  The walk is deterministic (preorder, byte-sorted
+    names).  It walks upper and reads lower only along upper's paths: one
+    child lookup (children.get) per upper entry, plus one listing under
+    each opaque upper directory that sits over a lower directory.  A lazy
+    lower root (diskfs.layer_root) is therefore read only along the
+    delta's paths.
     """
-    entries: list[JournalEntry] = []
+    edits: list[Edit] = []
     # (parts, upper node, lower children the node's lower counterpart is
     # looked up in, or None when it has none); lower is looked up when the
     # entry is visited, in the order the recursive walk would visit it
     pending: list[tuple[tuple[str, ...], Node, Optional[Mapping[str, Node]]]] = [((), upper, None)]
     while pending:
         parts, node, below = pending.pop()
-        if not parts:
-            low: Optional[Node] = lower
-        else:
-            low = below.get(parts[-1]) if below is not None else None
-        path = join_path(parts)
+        low = below.get(parts[-1]) if below is not None else (None if parts else lower)
         if isinstance(node, Whiteout):
             if low is not None:
-                entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
+                edits.append((parts, None))
             continue
-        if isinstance(node, (RegularFile, Symlink)):
-            if isinstance(low, Directory):
-                entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
-            entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path, checksum(path, node)))
+        if not isinstance(node, Directory):
+            edits.append((parts, node))
             continue
-        # directory
-        assert isinstance(node, Directory)
         lower_dir = low if isinstance(low, Directory) else None
-        if node.opaque:
-            entries.append(JournalEntry(JournalOp.MARK_OPAQUE_APPLIED, path))
-            if lower_dir is not None:
-                for name in _sorted_names(lower_dir):
-                    entries.append(
-                        JournalEntry(JournalOp.DELETE_FROM_LOWER, join_path(parts + (name,)))
-                    )
-            elif low is not None:
-                entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
-                entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
-            else:
-                entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
+        if lower_dir is None:
+            edits.append((parts, Directory()))  # never the root: lower is a directory
+        elif node.opaque:
+            edits += [(parts + (name,), None) for name in _sorted_names(lower_dir)]
             lower_dir = None  # an opaque directory merges with nothing below
-        elif lower_dir is None:
-            if low is not None:
-                entries.append(JournalEntry(JournalOp.DELETE_FROM_LOWER, path))
-            if parts:
-                entries.append(JournalEntry(JournalOp.COPY_TO_LOWER, path))
-        below_children = lower_dir.children if lower_dir is not None else None
+        children = lower_dir.children if lower_dir is not None else None
         for name in reversed(_sorted_names(node)):
-            pending.append((parts + (name,), node.children[name], below_children))
-    return tuple(entries)
+            pending.append((parts + (name,), node.children[name], children))
+    return edits
 
 
 def _sorted_names(d: Directory) -> list[str]:
@@ -635,45 +580,15 @@ def _sorted_names(d: Directory) -> list[str]:
     return sorted([name for name, _ in d.children.items()], key=_byte_key)
 
 
-def apply_journal(
-    lower: LayerTree,
-    entries: tuple[JournalEntry, ...],
-    payloads: Mapping[str, Node],
-) -> LayerTree:
-    """Replay journal entries onto a lower tree (value-level).
-
-    payloads maps each CopyToLower path to its source node; checksums are
-    verified so a torn payload cannot be applied silently.
-    """
-    tree = lower
-    for entry in entries:
-        if entry.op is JournalOp.DELETE_FROM_LOWER:
-            if tree.get(entry.path) is not None:
-                tree = tree.delete(entry.path)
-        elif entry.op is JournalOp.COPY_TO_LOWER:
-            if entry.checksum is None:
-                existing = tree.get(entry.path)
-                if not isinstance(existing, Directory):
-                    tree = tree.set(entry.path, Directory(children={}))
-            else:
-                node = payloads[entry.path]
-                payload = _payload(node)
-                if payload is None or content_checksum(payload) != entry.checksum:
-                    raise ValueError(f"payload checksum mismatch at {entry.path}")
-                tree = tree.set(entry.path, node)
-        # MARK_OPAQUE_APPLIED records that masking was realized by the
-        # surrounding deletions; nothing to replay.
-    return tree
-
-
 def merge_down(stack: LayerStack) -> tuple[LayerTree, MergeJournal]:
-    """Merge the upper layer into the lower layer, atomically.
+    """Merge the upper layer of a two-layer stack into its lower layer.
 
-    Value-level form of the administrator's global update: entries are
-    staged in full (checksummed) before the merged tree is produced.  For
+    Value-level form of the administrator's global update: the journal
+    (stage_merge) is planned in full, then applied to the lower tree.  For
     on-disk stacks, callers must hold the exclusive commit lock; the
     durable staging/commit/recovery protocol lives in cue.commit.
     """
-    entries = stage_merge(stack.lower.root, stack.upper.root)
-    tree = flatten(stack)
-    return tree, MergeJournal(entries=entries, state=JournalState.COMMITTED)
+    if stack.middle:
+        raise ValueError("merge_down takes a stack without middle layers")
+    edits = tuple(stage_merge(stack.lower.root, stack.upper.root))
+    return apply_journal(stack.lower, edits), MergeJournal(entries=edits, state=JournalState.COMMITTED)

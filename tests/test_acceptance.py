@@ -290,7 +290,8 @@ def test_c08_commit_atomicity_fault_sweep(tmp_path):
     diskfs.store_tree(stack.upper, upper, marker_aware=True)
     journals = tmp_path / "journals"
 
-    payloads = sum(1 for e in model.stage_merge(stack.lower.root, stack.upper.root) if e.checksum is not None)
+    edits = model.stage_merge(stack.lower.root, stack.upper.root)
+    payloads = sum(1 for _, node in edits if isinstance(node, (model.RegularFile, model.Symlink)))
     n_points = payloads + 2  # stage-entry points + journal-write + pre-commit
     assert n_points >= 100, f"only {n_points} pre-commit fault points"
 

@@ -153,15 +153,18 @@ class TestFileStress:
         assert len(report.samples) == len(report.baseline_samples) == 3
 
     def test_stream_flip_inverts_every_bit(self, tmp_path):
-        from cue.bench import _stream_flip
+        from cue.bench import _dual_stream_flip
 
-        target = tmp_path / "blob.bin"
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
         original = bytes(range(256)) * 64
-        target.write_bytes(original)
-        _stream_flip(target)
-        assert target.read_bytes() == bytes(b ^ 0xFF for b in original)
-        _stream_flip(target)
-        assert target.read_bytes() == original
+        first.write_bytes(original)
+        second.write_bytes(original[:1000])
+        _dual_stream_flip(first, second)
+        assert first.read_bytes() == bytes(b ^ 0xFF for b in original)
+        assert second.read_bytes() == bytes(b ^ 0xFF for b in original[:1000])
+        _dual_stream_flip(first, second)
+        assert first.read_bytes() == original
+        assert second.read_bytes() == original[:1000]
 
     def test_seeded_generation_identical(self, tmp_path):
         from cue.bench import _generate_files

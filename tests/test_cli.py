@@ -146,7 +146,22 @@ class TestCommitFlow:
         mirror = work / "merge.journal"
         assert mirror.exists()
         lines = mirror.read_text().splitlines()
-        assert any(line.startswith("CopyToLower /etc/new.conf ") for line in lines)
+        assert any(line.startswith("file /etc/new.conf ") for line in lines)
+
+    def test_missing_meta_is_not_found_not_the_host_root(self, env, host, tmp_path, monkeypatch):
+        run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])
+        work = tmp_path / "state" / "volumes" / "rootsandbox" / "root-sandbox" / "work"
+        (work / "container.json").unlink()
+        from cue import commit
+
+        lowers = []
+        monkeypatch.setattr(commit, "run_commit", lambda lower, *args, **kwargs: lowers.append(lower))
+        code, _, err = run_cli(env + ["commit", "--sandbox-of-root"])
+        assert code == 3
+        assert "no live container" in err
+        assert lowers == []  # never merged into a guessed base such as /
+        code, _, _ = run_cli(env + ["enter", "--root-sandbox", "root-sandbox", "--", "/bin/true"])
+        assert code == 3
 
     def test_concurrent_commit_gets_lock_busy(self, env, host, tmp_path):
         run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])

@@ -26,6 +26,10 @@ def reload_lower(lower):
     return diskfs.load_tree(lower, marker_aware=False, deep=True)
 
 
+def is_payload(edit) -> bool:
+    return isinstance(edit[1], (model.RegularFile, model.Symlink))
+
+
 class TestCommitApplies:
     def test_update_and_whiteout(self, tmp_path):
         stack = LayerStack(
@@ -166,7 +170,7 @@ class TestKillBasedFaults:
         lower, upper = materialize(stack, tmp_path)
         before = reload_lower(lower)
         journals = tmp_path / "journals"
-        payloads = sum(1 for e in model.stage_merge(stack.lower.root, stack.upper.root) if e.checksum is not None)
+        payloads = sum(1 for e in model.stage_merge(stack.lower.root, stack.upper.root) if is_payload(e))
         n_pre_commit = payloads + 2  # stage-entry points + journal-write + pre-commit
         assert n_pre_commit >= 3
         for kill_at in range(min(n_pre_commit, 8)):
@@ -210,19 +214,28 @@ class TestRecovery:
         assert not (journals / "commit-orphan-1").exists()
         assert actions
 
-    def test_pre_pack_journal_is_refused(self, tmp_path):
+    def refuses(self, tmp_path, header: dict, line: str) -> None:
+        """A surviving committed journal in an older format stops the next
+        commit before the base is touched."""
         stack = LayerStack(lower=stackgen.build_tree({"keep": b"k"}), upper=model.empty_tree())
         lower, upper = materialize(stack, tmp_path)
         journals = tmp_path / "journals"
         old_id = "commit-20250101T000000-1"
         (journals / old_id).mkdir(parents=True)  # its staging area survives
-        header = {"id": old_id, "lower": str(lower), "upper": str(upper), "clear_upper": True}
+        header = {"id": old_id, "lower": str(lower), "upper": str(upper), "clear_upper": True, **header}
         journal = journals / (old_id + ".committed")
-        journal.write_text(json.dumps(header) + "\nDeleteFromLower /keep -\nEND 1\n")
-        with pytest.raises(StageFailure, match="predates the pack") as err:
+        journal.write_text(json.dumps(header) + f"\n{line}\nEND 1\n")
+        with pytest.raises(StageFailure, match="is in format None, not 3, and cannot be replayed") as err:
             commit.run_commit(lower, upper, journals)
         assert str(journal) in str(err.value)
         assert reload_lower(lower) == stack.lower
+
+    def test_pre_pack_journal_is_refused(self, tmp_path):
+        self.refuses(tmp_path, {}, "DeleteFromLower /keep -")
+
+    def test_older_pack_journal_is_refused(self, tmp_path):
+        digest = model.content_checksum(b"k")
+        self.refuses(tmp_path, {"pack": {digest: [0, 1, False]}}, f"CopyToLower /keep {digest}")
 
 
 class TestLazyBase:
@@ -275,7 +288,7 @@ class TestLazyBase:
         for untouched in ("usr", "var", "home"):
             assert not [p for p in lstats if p.startswith(str(lower / untouched))], untouched
         # every base path probed is a delta path, or an entry the journal deletes
-        deleted = {e.path for e in result.entries if e.op is model.JournalOp.DELETE_FROM_LOWER}
+        deleted = {e.path for e in result.entries if e.kind == "drop"}
         for path in under_base(lstats):
             assert path[len(base):] in delta | deleted, path
         assert loads == [str(upper)]
@@ -295,7 +308,10 @@ class TestLazyBase:
         expected = model.stage_merge(full, upper_root)
         lazy = diskfs.layer_root(lower, marker_aware=False)
         assert model.stage_merge(lazy, upper_root) == expected
-        assert commit.run_commit(lower, upper, tmp_path / "journals").entries == expected
+        entries = commit.run_commit(lower, upper, tmp_path / "journals").entries
+        assert [(e.kind, e.path) for e in entries] == [
+            (commit._kind(node), model.join_path(parts)) for parts, node in expected
+        ]
 
     def test_seeded_journals_match_a_full_base_load(self, tmp_path):
         for seed in range(25):
@@ -405,7 +421,7 @@ class TestPackStaging:
         result = commit.run_commit(lower, upper, tmp_path / "journals")
         monkeypatch.undo()
 
-        payload_paths = [str(upper) + e.path for e in result.entries if e.checksum is not None]
+        payload_paths = [str(upper) + e.path for e in result.entries if e.digest is not None]
         assert len(payload_paths) == 32
         payload_paths.remove(str(upper / "bin" / "tool.current"))  # a symlink: never opened
         # directories are opened too, by the clearing rmtree
@@ -429,12 +445,12 @@ class TestPackStaging:
         result = commit.run_commit(lower, upper, journals, fault_hook=hook)
         header, _ = commit._read_journal(result.journal_path)
         digest = model.content_checksum(b"same bytes")
-        assert [e.checksum for e in result.entries if e.checksum] == [
+        assert [e.digest for e in result.entries if e.digest] == [
             digest, digest, model.content_checksum(b"other")
         ]
         assert header["pack"] == {
-            digest: [0, 10, False],
-            model.content_checksum(b"other"): [10, 5, False],
+            digest: [0, 10],
+            model.content_checksum(b"other"): [10, 5],
         }
         assert sizes == [15]
         assert reload_lower(lower) == model.flatten(stack)
@@ -450,21 +466,26 @@ class TestPackStaging:
         )
         lower, upper = materialize(stack, tmp_path)
         result = commit.run_commit(lower, upper, tmp_path / "journals")
-        header, _ = commit._read_journal(result.journal_path)
-        assert header["pack"][model.content_checksum(b"libz.so.1")][2] is True
+        digest = model.content_checksum(b"libz.so.1")
+        assert commit.Entry("link", "/lib/libz.so", digest) in result.entries
+        assert commit._read_journal(result.journal_path)[0]["pack"][digest] == [15, 9]  # after "/nowhere/at/all"
         assert os.readlink(lower / "lib" / "libz.so") == "libz.so.1"
         assert os.readlink(lower / "lib" / "dangling") == "/nowhere/at/all"
         assert reload_lower(lower) == model.flatten(stack)
 
-    def test_file_and_symlink_with_the_same_bytes_are_refused(self, tmp_path):
+    def test_file_and_symlink_with_the_same_bytes_share_one_range(self, tmp_path):
         stack = LayerStack(
             lower=model.empty_tree(),
             upper=stackgen.build_tree({"f": b"target", "l": model.Symlink("target")}),
         )
         lower, upper = materialize(stack, tmp_path)
-        with pytest.raises(StageFailure, match="file and as a symlink"):
-            commit.run_commit(lower, upper, tmp_path / "journals")
-        assert list(lower.iterdir()) == []
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        digest = model.content_checksum(b"target")
+        assert result.entries == (commit.Entry("file", "/f", digest), commit.Entry("link", "/l", digest))
+        assert commit._read_journal(result.journal_path)[0]["pack"] == {digest: [0, 6]}
+        assert (lower / "f").read_bytes() == b"target"
+        assert os.readlink(lower / "l") == "target"
+        assert reload_lower(lower) == model.flatten(stack)
 
     def test_upper_file_growing_mid_stream_fails_the_stage(self, tmp_path, monkeypatch):
         stack = base_update_stack()
@@ -508,56 +529,123 @@ class TestPackStaging:
 
     def test_kill_at_every_apply_entry_then_recover(self, tmp_path):
         stack = base_update_stack()
-        expected = model.flatten(stack)
-        n_entries = len(model.stage_merge(stack.lower.root, stack.upper.root))
-        assert n_entries == 38
-        for kill_at in range(n_entries):
-            lower, upper = materialize(stack, tmp_path, tag=str(kill_at))
-            journals = tmp_path / f"journals{kill_at}"
-
-            def hook(point, index):
-                if point == "apply-entry" and index == kill_at:
-                    os._exit(99)
-
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    commit.run_commit(lower, upper, journals, fault_hook=hook)
-                finally:
-                    os._exit(0)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 99, kill_at
-            actions = commit.recover(journals)
-            assert [state for _, state in actions] == [JournalState.COMMITTED], kill_at
-            assert reload_lower(lower) == expected, kill_at
-            assert list(upper.iterdir()) == [], kill_at
-            assert list(journals.iterdir()) == [actions[0][0]], kill_at
+        assert len(model.stage_merge(stack.lower.root, stack.upper.root)) == 38
+        kill_at_every_apply_entry_then_recover(stack, tmp_path)
 
     def test_replaying_a_committed_journal_twice(self, tmp_path):
-        stack = base_update_stack()
-        lower, upper = materialize(stack, tmp_path)
-        journals = tmp_path / "journals"
+        replay_a_committed_journal_twice(base_update_stack(), tmp_path)
 
-        def kill_post_commit(point, index):
-            if point == "post-commit":
+
+def kill_at_every_apply_entry_then_recover(stack, tmp_path) -> None:
+    """Kill the committer before each applied entry in turn; recovery
+    finishes the commit to flatten(stack) every time."""
+    expected = model.flatten(stack)
+    n_entries = len(model.stage_merge(stack.lower.root, stack.upper.root))
+    for kill_at in range(n_entries):
+        lower, upper = materialize(stack, tmp_path, tag=str(kill_at))
+        journals = tmp_path / f"journals{kill_at}"
+
+        def hook(point, index):
+            if point == "apply-entry" and index == kill_at:
                 os._exit(99)
 
         pid = os.fork()
         if pid == 0:
             try:
-                commit.run_commit(lower, upper, journals, fault_hook=kill_post_commit)
+                commit.run_commit(lower, upper, journals, fault_hook=hook)
             finally:
                 os._exit(0)
-        os.waitpid(pid, 0)
-        (staging,) = [p for p in journals.iterdir() if p.is_dir()]
-        shutil.copytree(staging, tmp_path / "staging-copy")
-        for _ in range(2):
-            assert [s for _, s in commit.recover(journals)] == [JournalState.COMMITTED]
-            assert reload_lower(lower) == model.flatten(stack)
-            assert not staging.exists()
-            shutil.copytree(tmp_path / "staging-copy", staging)
-        commit.recover(journals)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 99, kill_at
+        actions = commit.recover(journals)
+        assert [state for _, state in actions] == [JournalState.COMMITTED], kill_at
+        assert reload_lower(lower) == expected, kill_at
+        assert list(upper.iterdir()) == [], kill_at
+        assert list(journals.iterdir()) == [actions[0][0]], kill_at
+
+
+def replay_a_committed_journal_twice(stack, tmp_path) -> None:
+    """Recovery replays a committed journal over a base it already
+    finished, and lands on flatten(stack) again."""
+    lower, upper = materialize(stack, tmp_path)
+    journals = tmp_path / "journals"
+
+    def kill_post_commit(point, index):
+        if point == "post-commit":
+            os._exit(99)
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+            commit.run_commit(lower, upper, journals, fault_hook=kill_post_commit)
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    (staging,) = [p for p in journals.iterdir() if p.is_dir()]
+    shutil.copytree(staging, tmp_path / "staging-copy")
+    for _ in range(2):
+        assert [s for _, s in commit.recover(journals)] == [JournalState.COMMITTED]
         assert reload_lower(lower) == model.flatten(stack)
+        assert not staging.exists()
+        shutil.copytree(tmp_path / "staging-copy", staging)
+    commit.recover(journals)
+    assert reload_lower(lower) == model.flatten(stack)
+
+
+# a node of one kind in the upper over a node of another kind in the base
+KIND_CHANGES = {
+    "file-over-directory": (
+        {"etc": {"d": {"a": b"a", "sub": {"b": b"b"}}, "keep": b"k"}},
+        {"etc": {"d": b"a file now"}},
+    ),
+    "directory-over-file": (
+        {"etc": {"d": b"a file", "keep": b"k"}},
+        {"etc": {"d": {"n": b"n", "sub": {"m": b"m"}}}},
+    ),
+    "opaque-directory-over-file": (
+        {"etc": {"d": b"a file", "keep": b"k"}},
+        {"etc": {"d": {"__opaque__": True, "n": b"n"}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_CHANGES))
+class TestKindChanges:
+    def stack(self, case):
+        lower, upper = KIND_CHANGES[case]
+        return LayerStack(lower=stackgen.build_tree(lower), upper=stackgen.build_tree(upper))
+
+    def test_commit_applies(self, tmp_path, case):
+        stack = self.stack(case)
+        lower, upper = materialize(stack, tmp_path)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        assert reload_lower(lower) == model.flatten(stack)
+        assert [e.path for e in result.entries][0] == "/etc/d"  # one entry changes the kind
+
+    def test_kill_at_every_apply_entry_then_recover(self, tmp_path, case):
+        kill_at_every_apply_entry_then_recover(self.stack(case), tmp_path)
+
+    def test_replaying_a_committed_journal_twice(self, tmp_path, case):
+        replay_a_committed_journal_twice(self.stack(case), tmp_path)
+
+
+class TestJournalFormat:
+    def test_journal_line_round_trip(self, tmp_path):
+        stack = LayerStack(
+            lower=stackgen.build_tree({"a": b"x", "gone": b"g"}),
+            upper=stackgen.build_tree({
+                "a": b"y", "sp ace": b"z", "gone": model.Whiteout(), "d": {"l": model.Symlink("a b")},
+            }),
+        )
+        lower, upper = materialize(stack, tmp_path)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        assert [e.kind for e in result.entries] == ["file", "dir", "link", "drop", "file"]
+        for entry in result.entries:
+            assert commit.Entry.parse(entry.line()) == entry
+        lines = result.journal_path.read_text().splitlines()
+        assert json.loads(lines[0])["format"] == commit.FORMAT
+        assert lines[1:] == [e.line() for e in result.entries] + ["END 5"]
+        assert "drop /gone -" in lines
 
 
 class TestNoCyclicGarbage:

@@ -271,7 +271,7 @@ class TestMasks:
     def test_read_only_view(self, layers):
         lower, upper = layers
         (lower / "f").write_bytes(b"x")
-        view = DiskOverlay([lower], upper, read_only=True)
+        view = DiskOverlay([lower], upper, masks=[("/", "ro")])
         assert view.read_file("/f") == b"x"
         with pytest.raises(ReadOnlyView):
             view.write_file("/f", b"y")

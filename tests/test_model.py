@@ -21,7 +21,6 @@ from cue.errors import (
 )
 from cue.model import (
     Directory,
-    JournalOp,
     JournalState,
     LayerStack,
     Origin,
@@ -371,9 +370,10 @@ class TestMergeDown:
         tree, journal = model.merge_down(s)
         assert tree.get("/bin/python") == RegularFile(b"3.5")
         assert tree.get("/etc/old.conf") is None
-        ops = {(e.op, e.path) for e in journal.entries}
-        assert (JournalOp.COPY_TO_LOWER, "/bin/python") in ops
-        assert (JournalOp.DELETE_FROM_LOWER, "/etc/old.conf") in ops
+        assert journal.entries == (
+            (("bin", "python"), RegularFile(b"3.5")),
+            (("etc", "old.conf"), None),
+        )
 
     def test_merge_equals_flatten_on_seeded_stacks(self):
         for seed in range(300):
@@ -386,14 +386,49 @@ class TestMergeDown:
         for seed in range(200):
             s = stackgen.random_stack(seed)
             entries = model.stage_merge(s.lower.root, s.upper.root)
-            payloads = {p: n for p, n in s.upper.walk()}
-            replayed = model.apply_journal(s.lower, entries, payloads)
+            replayed = model.apply_journal(s.lower, entries)
             assert replayed == model.flatten(s), seed
+            # replaying over the merged tree, or over any partly merged
+            # one, lands on the same tree
+            assert model.apply_journal(replayed, entries) == replayed, seed
+            half = model.apply_journal(s.lower, entries[: len(entries) // 2])
+            assert model.apply_journal(half, entries) == replayed, seed
 
-    def test_journal_line_round_trip(self):
-        s = stack_of({"a": b"x"}, {"a": b"y", "sp ace": b"z"})
-        for entry in model.stage_merge(s.lower.root, s.upper.root):
-            assert model.JournalEntry.from_line(entry.to_line()) == entry
+    def test_kind_changes_are_one_edit_each(self):
+        s = stack_of(
+            {"f": {"old": b"o"}, "d": b"file", "o": b"file", "w": {"x": b"x"}},
+            {"f": b"now a file", "d": {"n": b"n"}, "o": {"__opaque__": True, "m": b"m"}, "w": Whiteout()},
+        )
+        assert model.stage_merge(s.lower.root, s.upper.root) == [
+            (("d",), Directory()),
+            (("d", "n"), RegularFile(b"n")),
+            (("f",), RegularFile(b"now a file")),
+            (("o",), Directory()),
+            (("o", "m"), RegularFile(b"m")),
+            (("w",), None),
+        ]
+        assert model.merge_down(s)[0] == model.flatten(s)
+
+    def test_opaque_directory_drops_each_lower_child(self):
+        s = stack_of(
+            {"o": {"a": b"a", "b": {"c": b"c"}}},
+            {"o": {"__opaque__": True, "b": b"file now"}},
+        )
+        assert model.stage_merge(s.lower.root, s.upper.root) == [
+            (("o", "a"), None),
+            (("o", "b"), None),
+            (("o", "b"), RegularFile(b"file now")),
+        ]
+
+    def test_directory_edit_keeps_an_existing_directory(self):
+        tree = stackgen.build_tree({"d": {"keep": b"k"}})
+        assert model.apply_journal(tree, [(("d",), Directory())]) == tree
+        assert model.apply_journal(tree, [(("d", "keep"), Directory())]).get("/d/keep") == Directory()
+
+    def test_stack_with_middle_layers_is_refused(self):
+        s = stackgen.random_stack3(1)
+        with pytest.raises(ValueError):
+            model.merge_down(s)
 
     def test_opaque_root_masks_entire_lower(self):
         s = LayerStack(
@@ -406,8 +441,7 @@ class TestMergeDown:
         assert flat.get("/b") == RegularFile(b"z")
         tree, _ = model.merge_down(s)
         assert tree == flat
-        payloads = {p: n for p, n in s.upper.walk()}
-        assert model.apply_journal(s.lower, model.stage_merge(s.lower.root, s.upper.root), payloads) == flat
+        assert model.apply_journal(s.lower, model.stage_merge(s.lower.root, s.upper.root)) == flat
 
     def test_second_merge_with_empty_upper_is_identity(self):
         for seed in range(50):
