@@ -50,7 +50,6 @@ process) to simulate a crash.
 from __future__ import annotations
 
 import errno
-import hashlib
 import itertools
 import json
 import os
@@ -208,6 +207,7 @@ def _stage(
     fails at once, lower untouched; the pack is fsynced once, after its
     last payload.
     """
+    import hashlib  # only staging hashes: cue.commit is imported by processes that never do
     upper = upper_dir.rstrip("/")
     needed = 0
     for parts, node in edits:
@@ -405,25 +405,26 @@ def recover(journal_dir: str | Path) -> list[tuple[Path, JournalState]]:
     """
     journal_dir = Path(journal_dir)
     actions: list[tuple[Path, JournalState]] = []
-    if not journal_dir.is_dir():
+    try:  # one scandir classifies everything: no stat per journal
+        with os.scandir(journal_dir) as scan:
+            is_dir = {entry.name: entry.is_dir() for entry in scan}
+    except (FileNotFoundError, NotADirectoryError):
         return actions
-    for path in sorted(journal_dir.glob("*.staged")):
-        aborted = _with_state(path, JournalState.ABORTED)
-        os.replace(path, aborted)
-        shutil.rmtree(journal_dir / _journal_base(path), ignore_errors=True)
-        actions.append((aborted, JournalState.ABORTED))
-    for path in sorted(journal_dir.glob("*.committed")):
-        staging = journal_dir / _journal_base(path)
-        if not staging.is_dir():
-            continue  # fully applied already
-        header, entries = _read_journal(path)
-        _apply(path, header, entries, lambda point, index: None)
-        actions.append((path, JournalState.COMMITTED))
-    for staging in sorted(journal_dir.glob("commit-*")):
-        if not staging.is_dir():
-            continue
-        base = staging.name
-        if not any((journal_dir / (base + s)).exists() for s in _SUFFIX.values()):
-            shutil.rmtree(staging, ignore_errors=True)
-            actions.append((staging, JournalState.ABORTED))
+    for name in sorted(is_dir):
+        if name.endswith(_SUFFIX[JournalState.STAGED]):
+            path = journal_dir / name
+            aborted = _with_state(path, JournalState.ABORTED)
+            os.replace(path, aborted)
+            shutil.rmtree(journal_dir / _journal_base(path), ignore_errors=True)
+            actions.append((aborted, JournalState.ABORTED))
+    for name in sorted(is_dir):  # a fully applied journal has no staging area left
+        path = journal_dir / name
+        if name.endswith(_SUFFIX[JournalState.COMMITTED]) and is_dir.get(_journal_base(path)):
+            header, entries = _read_journal(path)
+            _apply(path, header, entries, lambda point, index: None)
+            actions.append((path, JournalState.COMMITTED))
+    for name in sorted(is_dir):  # a staging area no journal names: a crash before the journal existed
+        if name.startswith("commit-") and is_dir[name] and not any(name + s in is_dir for s in _SUFFIX.values()):
+            shutil.rmtree(journal_dir / name, ignore_errors=True)
+            actions.append((journal_dir / name, JournalState.ABORTED))
     return actions

@@ -16,9 +16,12 @@ decides the view for any number of layers.  Top-down, per component,
 the topmost layer with an entry wins; a whiteout or an opaque directory
 cuts off the layers below it (a path a cut-off layer holds is Hidden: on
 a node view, a base path the shared delta removed), a file or symlink
-shadows them (Absent).  Lower layers are read on every lookup, so base
-updates show at once; only upper files this view wrote or resolved are
-path-cached (an upper hit can never be masked by later lower changes).
+shadows them (Absent).  Child lookups and opaque flags come from one
+entry cache per process that inotify keeps current: every change the
+kernel reported before a view operation began is visible to it (inotify
+misses remote changes on network filesystems, mounts inside layer
+directories and renames of a layer root's ancestors).  A view reads and
+rewrites an upper file it wrote without a lookup, unless it was removed.
 Writes take the same lazy layers: the model plans each write, remove or
 copy-up as a short list of edits to the upper layer (put an empty
 directory, a file or a whiteout at a path, or drop the entry there), and
@@ -27,13 +30,16 @@ the view applies them to the upper directory with a few syscalls each.
 
 from __future__ import annotations
 
+import bisect
 import errno
 import os
+import select
 import shutil
 import stat as stat_m
+import struct
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import model
 from .errors import AbsentPath, HiddenPath, NotADirectory, ReadOnlyView, ReservedName
@@ -60,6 +66,7 @@ OPAQUE_MARKER = ".wh..wh..opq"
 _FILE = RegularFile()
 _LINK = Symlink("")
 _WHITEOUT = Whiteout()
+_SHAPES = {stat_m.S_IFREG: _FILE, stat_m.S_IFLNK: _LINK}
 
 
 def _check_component_names(parts: tuple[str, ...]) -> None:
@@ -68,47 +75,178 @@ def _check_component_names(parts: tuple[str, ...]) -> None:
             raise ReservedName(f"{part!r} collides with the whiteout marker namespace")
 
 
-def _exists(real: str) -> bool:
+def _exists(real: str) -> Optional[bool]:
+    """Whether an entry is at real; None (falsy) on another lstat error."""
     try:
         os.lstat(real)
-    except OSError:
+    except (FileNotFoundError, NotADirectoryError):
         return False
+    except OSError:
+        return None
     return True
+
+
+# ---------------------------------------------------------------------------
+# the process-wide entry cache
+
+# IN_ATTRIB | IN_MOVED_FROM | IN_MOVED_TO | IN_CREATE | IN_DELETE | IN_DELETE_SELF |
+# IN_MOVE_SELF | IN_ONLYDIR (inotify(7)): any change to a directory's entries or itself
+_WATCH_MASK = 0x4 | 0x40 | 0x80 | 0x100 | 0x200 | 0x400 | 0x800 | 0x1000000
+_IN_Q_OVERFLOW, _IN_IGNORED, _IN_ISDIR = 0x4000, 0x8000, 0x40000000
+_COUNTERS = ("hits", "misses", "watches", "watch_failures", "events", "subtree_drops")
+_MISS = object()
+
+
+class _EntryCache:
+    """Layer directories keyed by (path prefix, marker_aware), each watched before
+    it is first read; one watch may serve several prefixes (through a symlink too)."""
+
+    def __init__(self):
+        self.fd = -1
+        # key -> (wd, {name: what get() read, OPAQUE_MARKER: opaque flag})
+        self.dirs: dict[tuple[str, bool], tuple[int, dict[str, Any]]] = {}
+        self.keys: dict[int, set[tuple[str, bool]]] = {}  # wd -> the keys it serves
+        self.order: list[tuple[str, bool]] = []  # the keys of dirs, sorted: a subtree is a slice
+        self.hits = self.misses = self.watches = self.watch_failures = self.events = self.subtree_drops = 0
+
+    def reset(self) -> None:
+        """Forget everything (a queue overflow; a forked child shares the fd)."""
+        if self.fd >= 0:
+            os.close(self.fd)
+        self.fd = -1
+        self.dirs.clear()
+        self.keys.clear()
+        self.order.clear()
+
+    def of(self, key: tuple[str, bool]) -> Optional[dict[str, Any]]:
+        """A directory's cache, watched first if new; None if it cannot be watched."""
+        held = self.dirs.get(key)
+        if held is None:
+            if self.fd == -1:  # not open yet; -2: no inotify here
+                self._open()
+            wd = self.libc.inotify_add_watch(self.fd, os.fsencode(key[0]), _WATCH_MASK) if self.fd >= 0 else -1
+            if wd < 0:
+                self.watch_failures += 1
+                return None
+            self.watches += 1
+            held = self.dirs[key] = (wd, {})
+            self.keys.setdefault(wd, set()).add(key)
+            bisect.insort(self.order, key)
+        return held[1]
+
+    def _open(self) -> None:
+        try:
+            import ctypes
+            libc = ctypes.CDLL(None, use_errno=True)  # each call returns an int, ctypes' default
+            libc.inotify_init1.argtypes = (ctypes.c_int,)
+            libc.inotify_add_watch.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_uint32)
+            libc.inotify_rm_watch.argtypes = (ctypes.c_int, ctypes.c_int)
+        except (OSError, AttributeError):
+            self.fd = -2  # nothing is cached
+            return
+        self.libc, self.fd = libc, libc.inotify_init1(os.O_NONBLOCK | os.O_CLOEXEC)
+        if self.fd >= 0:
+            self.poller = select.poll()
+            self.poller.register(self.fd, select.POLLIN)
+
+    def drain(self) -> None:
+        """Apply every queued event: one for a name drops that entry (and a `.wh.`
+        marker's target); one for a subdirectory, the directory itself or the end
+        of its watch drops every directory at or below it; an overflow, all."""
+        while self.fd >= 0 and self.poller.poll(0):
+            buf, offset, doomed = os.read(self.fd, 65536), 0, []
+            while offset < len(buf):
+                wd, mask, _, size = struct.unpack_from("iIII", buf, offset)
+                name = os.fsdecode(buf[offset + 16 : offset + 16 + size].rstrip(b"\0"))
+                offset += 16 + size
+                self.events += 1
+                if mask & _IN_Q_OVERFLOW:
+                    self.subtree_drops += 1
+                    return self.reset()
+                for prefix, aware in self.keys.pop(wd, ()) if mask & _IN_IGNORED else self.keys.get(wd, ()):
+                    if not name:  # the directory itself
+                        doomed.append(prefix)
+                        continue
+                    cached = self.dirs[prefix, aware][1]
+                    cached.pop(name, None)
+                    if name.startswith(WH_PREFIX):
+                        cached.pop(name[len(WH_PREFIX) :], None)
+                    if mask & _IN_ISDIR:
+                        doomed.append(prefix + name + "/")
+            if doomed:
+                self._drop(tuple(doomed))
+
+    def _drop(self, prefixes: tuple[str, ...]) -> None:
+        """Drop every cached directory under prefixes, and watches left idle."""
+        self.subtree_drops += len(prefixes)
+        for prefix in prefixes:  # every key below prefix ("x/") sorts before "x0"
+            lo = bisect.bisect_left(self.order, (prefix,))
+            hi = bisect.bisect_left(self.order, (prefix[:-1] + "0",), lo)
+            for key in self.order[lo:hi]:
+                wd = self.dirs.pop(key)[0]
+                keys = self.keys.get(wd, ())
+                if key in keys:
+                    keys.remove(key)
+                    if not keys:
+                        del self.keys[wd]
+                        self.libc.inotify_rm_watch(self.fd, wd)
+            del self.order[lo:hi]
+
+
+_CACHE = _EntryCache()
+os.register_at_fork(after_in_child=_CACHE.reset)
+
+
+def cache_counters() -> dict[str, int]:
+    """Lookups (child entries, opaque flags) answered from the entry cache and from
+    disk, directories watched and not, inotify events drained, subtrees dropped."""
+    return {name: getattr(_CACHE, name) for name in _COUNTERS}
 
 
 # ---------------------------------------------------------------------------
 # layer directories as lazy model nodes
 
 class _LayerEntries(Mapping):
-    """One layer directory's entries, read when asked for and never cached.
+    """One layer directory's entries, read when asked for.
 
-    get() costs one lstat (plus the `.wh.` probe on a miss where markers
-    count); iterating costs one scandir, with no lstat per entry.  Only a
-    missing entry reads as absent: any other lstat error is raised, so an
-    unreadable path is never mistaken for an empty one.
+    get() answers from the entry cache, or costs one lstat (plus the `.wh.`
+    probe on a miss where markers count); iterating costs one scandir, with
+    no lstat per entry, and is never cached.  Only a missing entry reads as
+    absent: any other lstat error is raised, so an unreadable path is never
+    mistaken for an empty one.
     """
+
+    __slots__ = ("prefix", "marker_aware", "key")
 
     def __init__(self, path: str, marker_aware: bool):
         self.prefix = os.path.join(path, "")  # "/" stays "/", "/x" becomes "/x/"
         self.marker_aware = marker_aware
+        self.key = (self.prefix, marker_aware)
 
     def get(self, name: str, default=None):
         if name.startswith(WH_PREFIX):
             return default
+        cache = _CACHE
+        cached = cache.of(self.key)
+        if cached is not None:
+            node = cached.get(name, _MISS)
+            if node is not _MISS:
+                cache.hits += 1
+                return default if node is None else node
+        cache.misses += 1
         real = self.prefix + name
         try:
             mode = os.lstat(real).st_mode
         except (FileNotFoundError, NotADirectoryError):
-            if self.marker_aware and _exists(self.prefix + WH_PREFIX + name):
-                return _WHITEOUT
-            return default
-        if stat_m.S_ISDIR(mode):
-            return _LayerDir(real, self.marker_aware)
-        if stat_m.S_ISLNK(mode):
-            return _LINK
-        if stat_m.S_ISREG(mode):
-            return _FILE
-        return default  # sockets, devices: not modeled; reachable only via bind mounts
+            marked = self.marker_aware and _exists(self.prefix + WH_PREFIX + name)
+            if marked is None:
+                return default  # an unreadable marker reads as none, uncached
+            node = _WHITEOUT if marked else None
+        else:  # sockets, devices: not modeled; reachable only via bind mounts
+            node = _LayerDir(real, self.marker_aware) if stat_m.S_ISDIR(mode) else _SHAPES.get(stat_m.S_IFMT(mode))
+        if cached is not None:
+            cached[name] = node
+        return default if node is None else node
 
     def __getitem__(self, name: str) -> Node:
         node = self.get(name)
@@ -151,8 +289,8 @@ class _LayerEntries(Mapping):
 
 
 class _LayerDir(Directory):
-    """A layer directory whose entries and opaque marker are read from disk
-    on each access."""
+    """A layer directory whose entries and opaque marker are read through
+    the entry cache."""
 
     def __init__(self, path: str, marker_aware: bool):
         object.__setattr__(self, "children", _LayerEntries(path, marker_aware))
@@ -160,7 +298,19 @@ class _LayerDir(Directory):
     @property
     def opaque(self) -> bool:  # type: ignore[override]
         entries = self.children
-        return entries.marker_aware and _exists(entries.prefix + OPAQUE_MARKER)
+        if not entries.marker_aware:
+            return False
+        cache = _CACHE
+        cached = cache.of(entries.key)
+        opaque = cached.get(OPAQUE_MARKER) if cached is not None else None
+        if opaque is not None:
+            cache.hits += 1
+            return opaque
+        cache.misses += 1
+        opaque = _exists(entries.prefix + OPAQUE_MARKER)
+        if cached is not None and opaque is not None:
+            cached[OPAQUE_MARKER] = opaque
+        return bool(opaque)
 
 
 def _plain(node: Node, real: str, *, content: bool = False) -> Node:
@@ -177,8 +327,9 @@ def _plain(node: Node, real: str, *, content: bool = False) -> Node:
 
 
 def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
-    """A layer directory as a lazy model Directory: a child lookup costs one
-    lstat, a listing one scandir, and nothing is read up front."""
+    """A layer directory as a lazy model Directory: a child lookup costs at
+    most one lstat, a listing one scandir, and nothing is read up front."""
+    _CACHE.drain()
     root = str(root)
     if not os.path.isdir(root):
         raise FileNotFoundError(errno.ENOENT, "no layer directory", root)
@@ -269,6 +420,9 @@ class DiskOverlay:
             if mode not in ("empty", "ro"):
                 raise ValueError(f"mask mode must be empty|ro, got {mode!r}")
         self._roots = [str(p) for p in (*self.lowers, self.upper)]
+        # each layer as a lazy directory, bottom first; the bottom one reads no markers
+        self._layers = [_LayerDir(root, i > 0) for i, root in enumerate(self._roots)]
+        # upper files this view wrote or opened for update: read and rewritten without a lookup
         self._file_cache: dict[str, Path] = {}
 
     # -- masks ------------------------------------------------------------
@@ -289,17 +443,12 @@ class DiskOverlay:
 
     # -- layers -------------------------------------------------------------
 
-    def _layers(self) -> list[_LayerDir]:
-        """Every layer as a lazy directory, bottom first; the bottom one
-        carries no markers."""
-        return [_LayerDir(root, i > 0) for i, root in enumerate(self._roots)]
-
     def _real(self, layer: int, parts: tuple[str, ...]) -> str:
         return os.path.join(self._roots[layer], *parts)
 
     def _found(self, parts: tuple[str, ...]) -> Resolution:
         """Resolution of a split path that must exist in the view."""
-        res = model.lookup(self._layers(), parts)
+        res = model.lookup(self._layers, parts)
         if not res.found:
             kind = HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath
             raise kind(model.join_path(parts))
@@ -308,6 +457,7 @@ class DiskOverlay:
     # -- read side ----------------------------------------------------------
 
     def resolve(self, path: str) -> Resolution:
+        _CACHE.drain()
         parts = model.split_path(path)
         path = model.join_path(parts)
         mask = self._mask_at(path)
@@ -315,25 +465,14 @@ class DiskOverlay:
             if path == mask[0]:
                 return Resolution(ResolutionKind.FOUND_UPPER, Directory(children={}))
             return Resolution(ResolutionKind.ABSENT)
-        cached = self._file_cache.get(path)
-        if cached is not None:
-            node = RegularFile(cached.read_bytes())
-            return Resolution(ResolutionKind.FOUND_UPPER, node, len(self._roots) - 1)
-        res = model.lookup(self._layers(), path)
+        res = model.lookup(self._layers, path)
         if not res.found:
             return res
         real = self._real(res.layer, parts)  # type: ignore[arg-type]
-        res = Resolution(res.outcome, _plain(res.node, real, content=True), res.layer)
-        if (
-            res.outcome is ResolutionKind.FOUND_UPPER
-            and isinstance(res.node, RegularFile)
-            and mask is None
-        ):
-            self._file_cache[path] = Path(real)
-        return res
+        return Resolution(res.outcome, _plain(res.node, real, content=True), res.layer)
 
     def _backing(self, path: str) -> str:
-        """Backing file of an uncached resolvable regular file or symlink."""
+        """Backing file of a resolvable regular file or symlink."""
         parts = model.split_path(path)  # accepts normalized paths only
         mask = self._mask_at(path)
         if mask is not None and mask[1] == "empty":
@@ -345,19 +484,23 @@ class DiskOverlay:
 
     def real_path(self, path: str) -> Path:
         """Backing file of a resolvable regular file or symlink (any layer)."""
-        cached = self._file_cache.get(path)
-        if cached is not None:
-            return cached
+        _CACHE.drain()
         return Path(self._backing(path))
 
     def read_file(self, path: str) -> bytes:
+        _CACHE.drain()
         cached = self._file_cache.get(path)
         if cached is not None:
-            return cached.read_bytes()
+            try:
+                with open(cached, "rb") as fh:
+                    return fh.read()
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                del self._file_cache[path]  # removed outside the view: look it up
         with open(self._backing(path), "rb") as fh:
             return fh.read()
 
     def list_dir(self, path: str) -> list[tuple[str, Origin]]:
+        _CACHE.drain()
         parts = model.split_path(path)
         path = model.join_path(parts)
         mask = self._mask_at(path)
@@ -365,31 +508,35 @@ class DiskOverlay:
             if path == mask[0]:
                 return []
             raise AbsentPath(path)
-        return model.merged_listing(self._layers(), path)
+        return model.merged_listing(self._layers, path)
 
     # -- write side ---------------------------------------------------------
 
     def write_file(self, path: str, data: bytes) -> None:
+        _CACHE.drain()
         cached = self._file_cache.get(path)
         if cached is not None:
             # fast path: path already resolves to an upper file this view owns
-            with open(cached, "wb") as fh:
-                fh.write(data)
-            return
+            try:
+                fd = os.open(cached, os.O_WRONLY | os.O_TRUNC | os.O_CLOEXEC)
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                del self._file_cache[path]  # removed outside the view: plan the write
+            else:
+                with open(fd, "wb") as fh:
+                    fh.write(data)
+                return
         parts = model.split_path(path)
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        if self._apply(model.plan_write(self._layers(), parts, data)):
+        if self._apply(model.plan_write(self._layers, parts, data)):
             self._file_cache.clear()  # a directory was replaced: files below it are gone
         self._file_cache[path] = self.upper.joinpath(*parts)
 
     def path_for_update(self, path: str) -> Path:
         """Copy the file up if needed and return its real upper path for
         in-place streaming updates."""
-        cached = self._file_cache.get(path)
-        if cached is not None:
-            return cached
+        _CACHE.drain()
         parts = model.split_path(path)
         path = model.join_path(parts)
         _check_component_names(parts)
@@ -400,7 +547,7 @@ class DiskOverlay:
         real = self.upper.joinpath(*parts)
         if res.outcome is not ResolutionKind.FOUND_UPPER:
             # copy-up: ancestors shallowly, then stream the content across
-            self._apply(model.plan_write(self._layers(), parts, b""))
+            self._apply(model.plan_write(self._layers, parts, b""))
             with open(self._real(res.layer, parts), "rb") as src:  # type: ignore[arg-type]
                 with open(real, "wb") as dst:
                     shutil.copyfileobj(src, dst, 1024 * 1024)
@@ -408,11 +555,12 @@ class DiskOverlay:
         return real
 
     def remove(self, path: str, recursive: bool = False) -> None:
+        _CACHE.drain()
         parts = model.split_path(path)
         path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
-        self._apply(model.plan_remove(self._layers(), parts, recursive))
+        self._apply(model.plan_remove(self._layers, parts, recursive))
         self._file_cache.clear()
 
     def _apply(self, edits: list[model.Edit]) -> bool:

@@ -9,12 +9,12 @@ Either way the runtime stays daemon-less: execute() spawns nothing that
 outlives it except the container's own entry process, and a kernel
 container's mounts live exactly as long as its processes.
 
-Note on the base-update immediacy claim: the sandbox view re-reads the
-lower layer on every access, so administrator updates are visible to the
-next lookup by construction.  The kernel backend inherits whatever the
-host union filesystem guarantees for concurrent lower modification, which
-is weaker; treat live lower edits under running kernel containers as
-best-effort.
+Note on the base-update immediacy claim: in the sandbox view, every
+change the kernel reported before an operation began is visible to it
+(diskfs names what inotify does not report).  The kernel backend
+inherits whatever the host union filesystem guarantees for concurrent
+lower modification, which is weaker; treat live lower edits under
+running kernel containers as best-effort.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ directory, cue.commit journals and applies them to the base on disk.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -518,6 +517,7 @@ def _merge_over(upper: Optional[Node], lower: Optional[Node]) -> Optional[Node]:
 # merge-down (the transactional base update, planned as edits to the lower)
 
 def content_checksum(payload: bytes) -> str:
+    import hashlib  # here, not at the top: loading OpenSSL costs every process that never hashes
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -667,3 +667,23 @@ class TestNoCyclicGarbage:
         finally:
             gc.enable()
         assert view.resolve("/d00/f000").outcome is model.ResolutionKind.HIDDEN
+
+
+class TestRecoveryScan:
+    def test_one_scandir_and_no_stat_per_journal(self, tmp_path, monkeypatch):
+        journals = tmp_path / "journals"
+        journals.mkdir()
+        for i in range(300):  # retained journals of applied commits
+            (journals / f"commit-{i:06d}-1-{i}.committed").write_text("{}\n")
+        (journals / "commit-orphan-1-0").mkdir()  # a stage that never wrote its journal
+        scans, stats = [], []
+        scandir, stat, lstat = os.scandir, os.stat, os.lstat
+        monkeypatch.setattr(os, "scandir", lambda path: scans.append(str(path)) or scandir(path))
+        monkeypatch.setattr(os, "stat", lambda path, *a, **k: stats.append(str(path)) or stat(path, *a, **k))
+        monkeypatch.setattr(os, "lstat", lambda path, *a, **k: stats.append(str(path)) or lstat(path, *a, **k))
+        actions = commit.recover(journals)
+        monkeypatch.undo()
+        assert actions == [(journals / "commit-orphan-1-0", JournalState.ABORTED)]
+        assert scans.count(str(journals)) == 1
+        assert not [p for p in stats if p.startswith(str(journals) + "/commit-0")]
+        assert len(os.listdir(journals)) == 300

@@ -2,6 +2,7 @@
 
 import os
 import random
+import shutil
 
 import pytest
 
@@ -508,3 +509,410 @@ class TestThreeLayerFold:
         assert view.resolve("/opt/tool/bin").outcome is ResolutionKind.HIDDEN
         assert view.list_dir("/opt") == [("mine", Origin.LOWER)]
         assert view.read_file("/opt/mine") == b"m"
+
+
+class TestUpperFileRemovedOutsideView:
+    """A view's path-cached upper file that is removed behind its back (as
+    `cue commit` does when it clears the upper) is looked up again."""
+
+    def test_read_resolve_write_and_paths_fall_through(self, layers):
+        lower, upper = layers
+        (lower / "d").mkdir()
+        (lower / "f").write_bytes(b"lower")
+        (lower / "d" / "g").write_bytes(b"lower g")
+        view = DiskOverlay([lower], upper)
+        fresh = lambda: DiskOverlay([lower], upper)
+
+        view.write_file("/f", b"mine")
+        (upper / "f").unlink()
+        assert view.read_file("/f") == fresh().read_file("/f") == b"lower"
+
+        view.write_file("/f", b"mine")
+        (upper / "f").unlink()
+        res = view.resolve("/f")
+        assert (res.outcome, res.node, res.layer) == (ResolutionKind.FOUND_LOWER, RegularFile(b"lower"), 0)
+
+        view.write_file("/f", b"mine")
+        (upper / "f").unlink()
+        assert view.real_path("/f") == lower / "f"
+
+        view.write_file("/d/g", b"mine")
+        shutil.rmtree(upper / "d")  # the copied-up parent goes too
+        assert view.path_for_update("/d/g") == upper / "d" / "g"
+        assert (upper / "d" / "g").read_bytes() == b"lower g"
+
+        shutil.rmtree(upper / "d")
+        view.write_file("/d/g", b"again")
+        assert (upper / "d" / "g").read_bytes() == b"again"
+        assert fresh().read_file("/d/g") == b"again"
+
+
+def uncached(call):
+    """call() with every lookup read from disk, the entry cache bypassed."""
+    diskfs._CACHE.of = lambda key: None
+    try:
+        return call()
+    finally:
+        del diskfs._CACHE.of
+
+
+def disk_layers(roots):
+    return uncached(lambda: [load_tree(r, marker_aware=i > 0).root for i, r in enumerate(roots)])
+
+
+def outcome(call):
+    try:
+        return call()
+    except (CueError, OSError) as err:
+        return type(err).__name__
+
+
+def view_sees(view: DiskOverlay, paths) -> dict:
+    """What resolve, read_file and list_dir show at each path."""
+    seen = {}
+    for path in paths:
+        res = outcome(lambda: view.resolve(path))
+        if isinstance(res, str):
+            seen[path] = res
+            continue
+        kind = oracle.kind_of(res.node) if res.found else None
+        read = None if isinstance(res.node, Symlink) else outcome(lambda: view.read_file(path))
+        seen[path] = (res.outcome, res.layer, kind, read, outcome(lambda: view.list_dir(path)))
+    return seen
+
+
+def model_sees(layers, paths) -> dict:
+    """What model.lookup and model.merged_listing decide over layer trees."""
+    seen = {}
+    for path in paths:
+        res = model.lookup(layers, path)
+        kind = oracle.kind_of(res.node) if res.found else None
+        if isinstance(res.node, Symlink):
+            read = None
+        elif isinstance(res.node, RegularFile):
+            read = res.node.content
+        elif isinstance(res.node, Directory):
+            read = "NotADirectory"
+        else:
+            read = "HiddenPath" if res.outcome is ResolutionKind.HIDDEN else "AbsentPath"
+        seen[path] = (res.outcome, res.layer, kind, read, outcome(lambda: model.merged_listing(layers, path)))
+    return seen
+
+
+def tree_paths(root) -> list[str]:
+    """"/" and every path under a layer directory, markers included."""
+    return ["/", *("/" + str(p.relative_to(root)) for p in sorted(root.rglob("*")))]
+
+
+def check_coherent(view: DiskOverlay, roots, paths) -> None:
+    """The cached view shows what a fresh uncached view and the model over
+    load_tree of the layers show."""
+    paths = sorted({p for p in paths if "/.wh." not in p})
+    got = view_sees(view, paths)
+    assert got == uncached(lambda: view_sees(DiskOverlay(roots[:-1], roots[-1]), paths))
+    try:
+        layers = disk_layers(roots)
+    except PermissionError:
+        return  # a chmod 000 directory (run unprivileged): nothing to load
+    assert got == model_sees(layers, paths)
+
+
+def _pick(rng, layer, kind):
+    """A random entry of one kind (dir, subdir, file, marker, opaque) under a
+    layer directory, or None."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(layer):
+        here = [os.path.join(dirpath, n) for n in dirnames + filenames]
+        if kind in ("dir", "subdir"):
+            found += [dirpath] * (kind == "dir" or dirpath != str(layer))
+        elif kind == "file":
+            found += [p for p in here if os.path.isfile(p) and not os.path.basename(p).startswith(".wh.")]
+        elif kind == "marker":
+            found += [p for p in here if os.path.basename(p).startswith(".wh.") and not p.endswith(".wh..wh..opq")]
+        else:
+            found += [p for p in here if p.endswith(".wh..wh..opq")]
+    return rng.choice(sorted(found)) if found else None
+
+
+def _fresh_name(rng, where: str) -> str:
+    return os.path.join(where, rng.choice(stackgen.NAMES) + str(rng.randrange(100)))
+
+
+def _touch(path: str, data: bytes = b"") -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+# Changes a second writer makes to one layer directory.  Each returns None
+# when the layer holds nothing to apply it to; _chmod_000 returns the
+# directory to give its mode back to.
+
+def _create(layer, rng):
+    _touch(_fresh_name(rng, _pick(rng, layer, "dir")), b"created")
+    return True
+
+
+def _unlink(layer, rng):
+    if f := _pick(rng, layer, "file"):
+        os.unlink(f)
+        return True
+
+
+def _rename_file(layer, rng):
+    if f := _pick(rng, layer, "file"):
+        os.rename(f, _fresh_name(rng, _pick(rng, layer, "dir")))
+        return True
+
+
+def _mkdir(layer, rng):
+    os.mkdir(_fresh_name(rng, _pick(rng, layer, "dir")))
+    return True
+
+
+def _rmdir(layer, rng):
+    if d := _pick(rng, layer, "subdir"):
+        shutil.rmtree(d)
+        return True
+
+
+def _rename_dir(layer, rng):
+    if d := _pick(rng, layer, "subdir"):
+        target = _pick(rng, layer, "dir")
+        if (target + "/").startswith(d + "/"):
+            target = str(layer)  # not into itself
+        os.rename(d, _fresh_name(rng, target))
+        return True
+
+
+def _add_whiteout(layer, rng):
+    _touch(os.path.join(_pick(rng, layer, "dir"), ".wh." + rng.choice(stackgen.NAMES)))
+    return True
+
+
+def _remove_whiteout(layer, rng):
+    if m := _pick(rng, layer, "marker"):
+        os.unlink(m)
+        return True
+
+
+def _add_opaque(layer, rng):
+    if d := _pick(rng, layer, "subdir"):
+        _touch(os.path.join(d, ".wh..wh..opq"))
+        return True
+
+
+def _remove_opaque(layer, rng):
+    if m := _pick(rng, layer, "opaque"):
+        os.unlink(m)
+        return True
+
+
+def _dir_to_file(layer, rng):
+    if d := _pick(rng, layer, "subdir"):
+        shutil.rmtree(d)
+        _touch(d, b"was a directory")
+        return True
+
+
+def _root_away_and_back(layer, rng):
+    away = layer.with_name(layer.name + ".away")
+    layer.rename(away)
+    away.rename(layer)
+    return True
+
+
+def _root_replaced(layer, rng):
+    """The root renamed away and a changed copy put in its place."""
+    away = layer.with_name(layer.name + ".away")
+    layer.rename(away)
+    shutil.copytree(away, layer, symlinks=True)
+    shutil.rmtree(away)
+    return _create(layer, rng)
+
+
+def _chmod_000(layer, rng):
+    if d := _pick(rng, layer, "subdir"):
+        os.chmod(d, 0)
+        return d
+
+
+CHANGES = [
+    _create, _unlink, _rename_file, _mkdir, _rmdir, _rename_dir, _add_whiteout,
+    _remove_whiteout, _add_opaque, _remove_opaque, _dir_to_file, _root_away_and_back,
+    _root_replaced, _chmod_000,
+]
+
+
+def stacked(tmp_path, depth: int, seed: int):
+    """Layer directories of a seeded stack, bottom first."""
+    if depth == 3:
+        stack = stackgen.random_stack3(seed, node_budget=25)
+    else:
+        stack = stackgen.random_stack(seed, node_budget=25)
+    roots = [tmp_path / f"stack{depth}-{seed}" / f"layer{i}" for i in range(depth)]
+    for i, (tree, root) in enumerate(zip(stack.layers, roots)):
+        store_tree(tree, root, marker_aware=i > 0)
+    return roots
+
+
+class TestEntryCacheCoherence:
+    """Changes made to the layers outside a view show in its next lookup,
+    exactly as a fresh uncached view and the model show them."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_each_change_between_two_lookups(self, tmp_path, depth):
+        applied = set()
+        before = diskfs.cache_counters()
+        for seed in range(3):
+            roots = stacked(tmp_path, depth, seed)
+            view = DiskOverlay(roots[:-1], roots[-1])
+            rng = random.Random(seed)
+            for change in CHANGES:
+                for layer in roots:
+                    paths = [p for root in roots for p in tree_paths(root)]
+                    check_coherent(view, roots, paths)  # and warms the cache
+                    done = change(layer, rng)
+                    if done is None:
+                        continue
+                    applied.add(change.__name__)
+                    check_coherent(view, roots, paths + [p for root in roots for p in tree_paths(root)])
+                    if change is _chmod_000:
+                        os.chmod(done, 0o755)
+                        check_coherent(view, roots, [p for root in roots for p in tree_paths(root)])
+        assert applied == {change.__name__ for change in CHANGES}
+        after = diskfs.cache_counters()
+        assert after["hits"] > before["hits"] and after["events"] > before["events"]
+        assert after["subtree_drops"] > before["subtree_drops"]
+
+    def test_random_ops_with_a_second_writer(self, tmp_path):
+        for depth in (2, 3):
+            for seed in range(3):
+                roots = stacked(tmp_path, depth, seed)
+                view = DiskOverlay(roots[:-1], roots[-1])
+                rng = random.Random(seed)
+                for _ in range(25):
+                    paths = [p for root in roots for p in tree_paths(root)]
+                    check_coherent(view, roots, paths)
+                    if rng.random() < 0.5:
+                        change = rng.choice([c for c in CHANGES if c is not _chmod_000])
+                        change(rng.choice(roots), rng)
+                        continue
+                    path = rng.choice(paths[1:] or ["/a"])
+                    if "/.wh." in path:
+                        continue
+                    stack = uncached(lambda: LayerStack(
+                        lower=load_tree(roots[0], marker_aware=False),
+                        middle=tuple(load_tree(r) for r in roots[1:-1]),
+                        upper=load_tree(roots[-1]),
+                    ))
+                    if rng.random() < 0.6:
+                        op, want = (lambda: view.write_file(path, b"op")), (lambda: model.write_file(stack, path, b"op"))
+                    else:
+                        op, want = (lambda: view.remove(path, recursive=True)), (lambda: model.remove(stack, path, recursive=True))
+                    expected = outcome(want)
+                    assert outcome(op) == (expected if isinstance(expected, str) else None), (depth, seed, path)
+                    if not isinstance(expected, str):
+                        assert disk_layers(roots) == [layer.root for layer in expected.layers]
+
+    def test_one_layer_through_a_symlink_and_its_real_path(self, tmp_path):
+        lower, upper_a, upper_b = (tmp_path / n for n in ("lower", "upper-a", "upper-b"))
+        for d in (lower / "d", upper_a, upper_b):
+            d.mkdir(parents=True)
+        (lower / "d" / "f").write_bytes(b"f")
+        link = tmp_path / "link"
+        link.symlink_to(lower)
+        by_link, by_path = DiskOverlay([link], upper_a), DiskOverlay([lower], upper_b)
+        for view in (by_link, by_path):
+            assert view.read_file("/d/f") == b"f"
+            assert view.resolve("/d/g").outcome is ResolutionKind.ABSENT
+        dirs = diskfs._CACHE.dirs
+        assert dirs[(f"{link}/", False)][0] == dirs[(f"{lower}/", False)][0]
+        assert dirs[(f"{link}/d/", False)][0] == dirs[(f"{lower}/d/", False)][0]
+        (lower / "d" / "f").unlink()
+        (lower / "d" / "g").write_bytes(b"g")
+        for view in (by_link, by_path):
+            assert view.resolve("/d/f").outcome is ResolutionKind.ABSENT
+            assert view.read_file("/d/g") == b"g"
+        shutil.rmtree(lower / "d")
+        (lower / "d").write_bytes(b"now a file")
+        for view in (by_link, by_path):
+            assert view.read_file("/d") == b"now a file"
+            assert view.resolve("/d/g").outcome is ResolutionKind.ABSENT
+
+    def test_forked_child_starts_empty_and_parent_keeps_its_events(self, layers):
+        lower, upper = layers
+        (lower / "f").write_bytes(b"f")
+        view = DiskOverlay([lower], upper)
+        assert view.read_file("/f") == b"f"
+        assert diskfs._CACHE.dirs
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            ok = False
+            try:
+                ok = not diskfs._CACHE.dirs and diskfs._CACHE.fd < 0
+                ok = ok and view.read_file("/f") == b"f"
+                (lower / "f").unlink()
+                ok = ok and view.resolve("/f").outcome is ResolutionKind.ABSENT
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert view.resolve("/f").outcome is ResolutionKind.ABSENT
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_markers_added_and_removed(self, tmp_path, depth):
+        roots = [tmp_path / f"layer{i}" for i in range(depth)]
+        for root in roots:
+            (root / "o").mkdir(parents=True)
+        (roots[0] / "o" / "x").write_bytes(b"x")
+        (roots[0] / "w").write_bytes(b"w")
+        (roots[-1] / "o" / "y").write_bytes(b"y")
+        view = DiskOverlay(roots[:-1], roots[-1])
+        paths = ["/", "/o", "/o/x", "/o/y", "/w"]
+        for layer in roots[1:]:
+            for marker, hidden in ((layer / ".wh.w", "/w"), (layer / "o" / ".wh..wh..opq", "/o/x")):
+                check_coherent(view, roots, paths)
+                assert view.resolve(hidden).outcome is ResolutionKind.FOUND_LOWER
+                marker.touch()
+                check_coherent(view, roots, paths)
+                assert view.resolve(hidden).outcome is ResolutionKind.HIDDEN
+                marker.unlink()
+                check_coherent(view, roots, paths)
+
+    def test_unwatchable_directory_is_read_from_disk(self, layers):
+        lower, upper = layers
+        (lower / "d" / "sub").mkdir(parents=True)
+        (lower / "d" / "sub" / "f").write_bytes(b"f")
+        unwatchable = f"{lower}/d/"
+        watch = diskfs._CACHE.of
+        diskfs._CACHE.of = lambda key: None if key[0] == unwatchable else watch(key)
+        try:
+            view = DiskOverlay([lower], upper)
+            assert view.read_file("/d/sub/f") == b"f"
+            assert (f"{lower}/d/sub/", False) in diskfs._CACHE.dirs
+            # d itself reports nothing: its parent's event for it drops the
+            # subdirectory cached below it
+            (lower / "d").rename(lower / "d2")
+            (lower / "d" / "sub").mkdir(parents=True)
+            assert view.resolve("/d/sub/f").outcome is ResolutionKind.ABSENT
+        finally:
+            del diskfs._CACHE.of
+
+    def test_queue_overflow_drops_everything(self, layers):
+        lower, upper = layers
+        (lower / "d").mkdir()
+        (lower / "d" / "f").write_bytes(b"f")
+        view = DiskOverlay([lower], upper)
+        assert view.resolve("/d/g").outcome is ResolutionKind.ABSENT
+        with open("/proc/sys/fs/inotify/max_queued_events") as fh:
+            limit = int(fh.read())
+        if limit > 65536:
+            pytest.skip(f"overflowing a {limit}-event inotify queue takes too many files")
+        for i in range(limit + 1):  # one event each, more than the queue holds
+            (lower / "d" / f"n{i}").touch()
+        (lower / "d" / "f").unlink()
+        (lower / "d" / "g").write_bytes(b"g")
+        drops = diskfs.cache_counters()["subtree_drops"]
+        assert view.resolve("/d/f").outcome is ResolutionKind.ABSENT
+        assert view.read_file("/d/g") == b"g"
+        assert diskfs.cache_counters()["subtree_drops"] > drops

@@ -1,7 +1,11 @@
 """Unit and property tests for the pure layer-stack model."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -549,3 +553,19 @@ class TestStackInvariants:
         tree, _ = model.merge_down(s)
         # constructing a stack over the merged tree revalidates purity
         LayerStack(lower=tree, upper=empty_tree())
+
+
+def test_view_modules_load_no_openssl():
+    """Only hashing loads libcrypto, so processes that never hash (every
+    view, node and registry process) do not map it."""
+    code = (
+        "import sys, cue.executor, cue.cluster, cue.diskfs, cue.registry, cue.model; "
+        "print('_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
