@@ -235,7 +235,7 @@ def _stage(
             hook("stage-entry", i)
             hasher = hashlib.sha256()
             if isinstance(node, Symlink):
-                data = node.target.encode("utf-8")
+                data = os.fsencode(node.target)
                 hasher.update(data)
                 _write_at(pack, data, end)
                 length = len(data)
@@ -286,7 +286,8 @@ def _write_at(fd: int, data, offset: int) -> None:
 
 
 def _write_journal(path: Path, header: dict, entries: tuple[Entry, ...]) -> None:
-    with open(path, "x", encoding="utf-8") as fh:  # never replaces another journal
+    # never replaces another journal; a path that is not UTF-8 keeps its raw bytes
+    with open(path, "x", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for entry in entries:
             fh.write(entry.line() + "\n")
@@ -296,7 +297,7 @@ def _write_journal(path: Path, header: dict, entries: tuple[Entry, ...]) -> None
 
 
 def _read_journal(path: Path) -> tuple[dict, tuple[Entry, ...]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
     header = json.loads(lines[0])
     if header.get("format") != FORMAT:
         raise StageFailure(
@@ -337,7 +338,7 @@ def _apply(journal_path: Path, header: dict, entries: tuple[Entry, ...], hook: F
                 if len(target) != length:
                     raise StageFailure(f"truncated pack: {length} bytes at {offset}")
                 diskfs._rm_real(real)
-                os.symlink(target.decode("utf-8"), real)
+                os.symlink(os.fsdecode(target), real)
             else:
                 offset, length = index[digest]
                 # removed first, not renamed over: ext4 (auto_da_alloc)

@@ -16,12 +16,15 @@ decides the view for any number of layers.  Top-down, per component,
 the topmost layer with an entry wins; a whiteout or an opaque directory
 cuts off the layers below it (a path a cut-off layer holds is Hidden: on
 a node view, a base path the shared delta removed), a file or symlink
-shadows them (Absent).  Child lookups and opaque flags come from one
-entry cache per process that inotify keeps current: every change the
-kernel reported before a view operation began is visible to it (inotify
-misses remote changes on network filesystems, mounts inside layer
-directories and renames of a layer root's ancestors).  A view reads and
-rewrites an upper file it wrote without a lookup, unless it was removed.
+shadows them (Absent).  Child lookups, opaque flags and whole listings
+come from one entry cache per process that inotify keeps current: every
+change the kernel reported before a view operation began is visible to
+it, listings included (inotify misses remote changes on network
+filesystems, mounts inside layer directories and renames of a layer
+root's ancestors).  A listed directory answers later listings, and
+lookups of names it lacks, from memory until an event names one of its
+entries; then its whole listing is dropped.  A view reads and rewrites
+an upper file it wrote without a lookup, unless it was removed.
 Writes take the same lazy layers: the model plans each write, remove or
 copy-up as a short list of edits to the upper layer (put an empty
 directory, a file or a whiteout at a path, or drop the entry there), and
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import errno
+import itertools
 import os
 import select
 import shutil
@@ -93,8 +97,9 @@ def _exists(real: str) -> Optional[bool]:
 # IN_MOVE_SELF | IN_ONLYDIR (inotify(7)): any change to a directory's entries or itself
 _WATCH_MASK = 0x4 | 0x40 | 0x80 | 0x100 | 0x200 | 0x400 | 0x800 | 0x1000000
 _IN_Q_OVERFLOW, _IN_IGNORED, _IN_ISDIR = 0x4000, 0x8000, 0x40000000
-_COUNTERS = ("hits", "misses", "watches", "watch_failures", "events", "subtree_drops")
+_COUNTERS = ("hits", "misses", "listing_hits", "listing_misses", "watches", "watch_failures", "events", "subtree_drops")
 _MISS = object()
+_COMPLETE = ""  # no entry has this name: its key marks a directory's cached names as its whole listing
 
 
 class _EntryCache:
@@ -103,11 +108,13 @@ class _EntryCache:
 
     def __init__(self):
         self.fd = -1
-        # key -> (wd, {name: what get() read, OPAQUE_MARKER: opaque flag})
+        # key -> (wd, {name: what get() read, OPAQUE_MARKER: opaque flag}); a listed
+        # directory's dict holds every entry, then the flag and _COMPLETE last
         self.dirs: dict[tuple[str, bool], tuple[int, dict[str, Any]]] = {}
         self.keys: dict[int, set[tuple[str, bool]]] = {}  # wd -> the keys it serves
         self.order: list[tuple[str, bool]] = []  # the keys of dirs, sorted: a subtree is a slice
-        self.hits = self.misses = self.watches = self.watch_failures = self.events = self.subtree_drops = 0
+        self.hits = self.misses = self.listing_hits = self.listing_misses = 0
+        self.watches = self.watch_failures = self.events = self.subtree_drops = 0
 
     def reset(self) -> None:
         """Forget everything (a queue overflow; a forked child shares the fd)."""
@@ -151,8 +158,9 @@ class _EntryCache:
 
     def drain(self) -> None:
         """Apply every queued event: one for a name drops that entry (and a `.wh.`
-        marker's target); one for a subdirectory, the directory itself or the end
-        of its watch drops every directory at or below it; an overflow, all."""
+        marker's target), or the whole dict of a listed directory; one for a
+        subdirectory, the directory itself or the end of its watch drops every
+        directory at or below it; an overflow, all."""
         while self.fd >= 0 and self.poller.poll(0):
             buf, offset, doomed = os.read(self.fd, 65536), 0, []
             while offset < len(buf):
@@ -168,9 +176,12 @@ class _EntryCache:
                         doomed.append(prefix)
                         continue
                     cached = self.dirs[prefix, aware][1]
-                    cached.pop(name, None)
-                    if name.startswith(WH_PREFIX):
-                        cached.pop(name[len(WH_PREFIX) :], None)
+                    if _COMPLETE in cached:  # a listing is kept whole or not at all
+                        cached.clear()
+                    else:
+                        cached.pop(name, None)
+                        if name.startswith(WH_PREFIX):
+                            cached.pop(name[len(WH_PREFIX) :], None)
                     if mask & _IN_ISDIR:
                         doomed.append(prefix + name + "/")
             if doomed:
@@ -198,8 +209,9 @@ os.register_at_fork(after_in_child=_CACHE.reset)
 
 
 def cache_counters() -> dict[str, int]:
-    """Lookups (child entries, opaque flags) answered from the entry cache and from
-    disk, directories watched and not, inotify events drained, subtrees dropped."""
+    """Lookups (child entries, opaque flags) and listings answered from the entry
+    cache and from disk, directories watched and not, inotify events drained,
+    subtrees dropped."""
     return {name: getattr(_CACHE, name) for name in _COUNTERS}
 
 
@@ -210,10 +222,14 @@ class _LayerEntries(Mapping):
     """One layer directory's entries, read when asked for.
 
     get() answers from the entry cache, or costs one lstat (plus the `.wh.`
-    probe on a miss where markers count); iterating costs one scandir, with
-    no lstat per entry, and is never cached.  Only a missing entry reads as
-    absent: any other lstat error is raised, so an unreadable path is never
-    mistaken for an empty one.
+    probe on a miss where markers count).  Iterating costs one scandir, with
+    no lstat per entry, and fills the cache with the whole listing and the
+    opaque flag; until an event names one of its entries, the directory then
+    lists, reads as opaque or not, and answers get() of a name it lacks
+    without a syscall.  A directory is never scanned on a get(): a lookup
+    reads only along its path.  Only a missing entry reads as absent: any
+    other lstat error is raised, so an unreadable path is never mistaken
+    for an empty one.
     """
 
     __slots__ = ("prefix", "marker_aware", "key")
@@ -230,6 +246,8 @@ class _LayerEntries(Mapping):
         cached = cache.of(self.key)
         if cached is not None:
             node = cached.get(name, _MISS)
+            if node is _MISS and _COMPLETE in cached:
+                node = None  # the whole listing lacks name
             if node is not _MISS:
                 cache.hits += 1
                 return default if node is None else node
@@ -255,37 +273,59 @@ class _LayerEntries(Mapping):
         return node
 
     def items(self):
-        nodes: dict[str, Node] = {}
-        names: set[str] = set()
-        markers: list[str] = []
-        try:
-            with os.scandir(self.prefix) as scan:
-                entries = list(scan)
-        except FileNotFoundError:
-            entries = []  # a missing directory lists as empty
-        for entry in entries:
-            name = entry.name
-            names.add(name)
-            if name.startswith(WH_PREFIX):
-                if name != OPAQUE_MARKER:
-                    markers.append(name[len(WH_PREFIX):])
-            elif entry.is_dir(follow_symlinks=False):
-                nodes[name] = _LayerDir(entry.path, self.marker_aware)
-            elif entry.is_symlink():
-                nodes[name] = _LINK
-            elif entry.is_file(follow_symlinks=False):
-                nodes[name] = _FILE
-        if self.marker_aware:
-            for target in markers:
-                if target and target not in names:
-                    nodes[target] = _WHITEOUT
-        return nodes.items()
+        """(name, node) pairs, to be iterated once: a listed directory's come
+        straight from its cached dict, which nothing changes between drains."""
+        cache = _CACHE
+        cached = cache.of(self.key)
+        if cached is None:
+            cache.listing_misses += 1
+            nodes: dict[str, Node] = {}
+            _scan(self.prefix, self.marker_aware, nodes)
+            return nodes.items()
+        if _COMPLETE in cached:
+            cache.listing_hits += 1
+        else:
+            cache.listing_misses += 1
+            cached.clear()
+            opaque = _scan(self.prefix, self.marker_aware, cached)
+            if opaque is None:
+                return ()
+            cached[OPAQUE_MARKER] = opaque
+            cached[_COMPLETE] = True  # last: a scan that raised leaves single entries only
+        return itertools.islice(cached.items(), len(cached) - 2)  # before the flag and _COMPLETE
 
     def __iter__(self):
         return iter(dict(self.items()))
 
     def __len__(self) -> int:
-        return len(self.items())
+        return len(dict(self.items()))
+
+
+def _scan(prefix: str, marker_aware: bool, nodes: dict[str, Any]) -> Optional[bool]:
+    """Put a layer directory's entries into nodes from one scandir and return
+    its opaque flag; a missing directory adds none and returns None."""
+    try:
+        with os.scandir(prefix) as scan:
+            entries = list(scan)
+    except FileNotFoundError:
+        return None
+    names = {entry.name for entry in entries}
+    opaque = False
+    for entry in entries:
+        name = entry.name
+        if name.startswith(WH_PREFIX):
+            target = name[len(WH_PREFIX) :]
+            if name == OPAQUE_MARKER:
+                opaque = marker_aware
+            elif marker_aware and target and target not in names and not target.startswith(WH_PREFIX):
+                nodes[target] = _WHITEOUT  # a reserved name is no entry, as get() says
+        elif entry.is_dir(follow_symlinks=False):
+            nodes[name] = _LayerDir(entry.path, marker_aware)
+        elif entry.is_symlink():
+            nodes[name] = _LINK
+        elif entry.is_file(follow_symlinks=False):
+            nodes[name] = _FILE
+    return opaque
 
 
 class _LayerDir(Directory):
@@ -328,7 +368,8 @@ def _plain(node: Node, real: str, *, content: bool = False) -> Node:
 
 def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
     """A layer directory as a lazy model Directory: a child lookup costs at
-    most one lstat, a listing one scandir, and nothing is read up front."""
+    most one lstat and a listing one scandir, each none once the entry
+    cache holds it; nothing is read up front."""
     _CACHE.drain()
     root = str(root)
     if not os.path.isdir(root):
@@ -340,19 +381,23 @@ def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
 # whole-tree load/store (commit's upper, tests, small trees)
 
 def load_tree(root: Path, *, marker_aware: bool = True, deep: bool = True) -> LayerTree:
-    """Read a whole layer directory into a model tree.  Without deep, files
-    come back as content-less shapes (symlink targets are still read)."""
-    return LayerTree(root=_load(layer_root(root, marker_aware=marker_aware), deep))
+    """Read a whole layer directory into a model tree, one scandir per
+    directory and none through the entry cache (commit loads an upper it is
+    about to clear).  Without deep, files come back as content-less shapes
+    (symlink targets are still read)."""
+    return LayerTree(root=_load(layer_root(root, marker_aware=marker_aware).children, deep))
 
 
-def _load(d: _LayerDir, deep: bool) -> Directory:
+def _load(d: _LayerEntries, deep: bool) -> Directory:
+    nodes: dict[str, Node] = {}
+    opaque = _scan(d.prefix, d.marker_aware, nodes)
     children: dict[str, Node] = {}
-    for name, child in d.children.items():
+    for name, child in nodes.items():
         if isinstance(child, _LayerDir):
-            children[name] = _load(child, deep)
+            children[name] = _load(child.children, deep)
         else:
-            children[name] = _plain(child, d.children.prefix + name, content=deep)
-    return Directory(children=children, opaque=d.opaque)
+            children[name] = _plain(child, d.prefix + name, content=deep)
+    return Directory(children=children, opaque=bool(opaque))
 
 
 def store_tree(tree: LayerTree, root: Path, *, marker_aware: bool = True) -> None:

@@ -102,8 +102,9 @@ def join_path(parts) -> str:
 
 
 def _byte_key(name: str) -> bytes:
-    """Sort key ordering names by their UTF-8 bytes."""
-    return name.encode("utf-8")
+    """Sort key ordering names by their bytes on disk (UTF-8; a name that is
+    not UTF-8 holds its raw bytes as surrogate escapes, as os.fsdecode gives)."""
+    return name.encode("utf-8", "surrogateescape")
 
 
 def normalize(path: str) -> str:

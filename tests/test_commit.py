@@ -687,3 +687,57 @@ class TestRecoveryScan:
         assert scans.count(str(journals)) == 1
         assert not [p for p in stats if p.startswith(str(journals) + "/commit-0")]
         assert len(os.listdir(journals)) == 300
+
+
+class TestUpperLoadStaysOutOfTheCache:
+    def test_commit_adds_no_watch(self, tmp_path):
+        stack = LayerStack(
+            lower=stackgen.build_tree({"a": {"b": {"c": {"old": b"o"}}, "keep": b"k"}}),
+            upper=stackgen.build_tree({
+                "a": {"b": {"c": {"new": b"n"}, "x": {"y": b"y"}}, "keep": model.Whiteout()},
+                "top": {"mid": {"low": b"l"}},
+            }),
+        )
+        lower, upper = materialize(stack, tmp_path)
+        (tmp_path / "scratch").mkdir()
+        view = diskfs.DiskOverlay([lower], tmp_path / "scratch")
+        for path, _ in stack.upper.walk():  # the base along the delta is watched already
+            view.resolve(path)
+        before = diskfs.cache_counters()["watches"]
+        commit.run_commit(lower, upper, tmp_path / "journals")
+        assert diskfs.cache_counters()["watches"] == before
+        assert reload_lower(lower) == model.flatten(stack)
+        assert not any(key[0].startswith(f"{upper}/") for key in diskfs._CACHE.dirs)
+
+
+def _raw(name: bytes) -> str:
+    return os.fsdecode(name)
+
+
+def non_utf8_stack() -> LayerStack:
+    return LayerStack(
+        lower=stackgen.build_tree({_raw(b"gone\xfd"): b"g", "d": {_raw(b"old\xff"): b"o", "keep": b"k"}}),
+        upper=stackgen.build_tree({
+            _raw(b"\xff"): b"new",
+            _raw(b"gone\xfd"): model.Whiteout(),
+            "d": {_raw(b"old\xff"): b"updated", _raw(b"sub\xfe"): {"f": b"f"}},
+            "l": model.Symlink(_raw(b"target\xfa")),
+        }),
+    )
+
+
+class TestNonUtf8Names:
+    def test_file_lands_under_its_raw_bytes(self, tmp_path):
+        stack = non_utf8_stack()
+        lower, upper = materialize(stack, tmp_path)
+        result = commit.run_commit(lower, upper, tmp_path / "journals")
+        assert sorted(os.listdir(bytes(lower))) == [b"d", b"l", b"\xff"]
+        assert sorted(os.listdir(os.path.join(bytes(lower), b"d"))) == [b"keep", b"old\xff", b"sub\xfe"]
+        with open(os.path.join(bytes(lower), b"\xff"), "rb") as fh:
+            assert fh.read() == b"new"
+        assert os.readlink(os.path.join(bytes(lower), b"l")) == b"target\xfa"
+        assert reload_lower(lower) == model.flatten(stack)
+        assert commit._read_journal(result.journal_path)[1] == result.entries
+
+    def test_replayed_journal_applies_the_same(self, tmp_path):
+        replay_a_committed_journal_twice(non_utf8_stack(), tmp_path)

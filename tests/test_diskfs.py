@@ -916,3 +916,135 @@ class TestEntryCacheCoherence:
         assert view.resolve("/d/f").outcome is ResolutionKind.ABSENT
         assert view.read_file("/d/g") == b"g"
         assert diskfs.cache_counters()["subtree_drops"] > drops
+
+
+class TestListingCache:
+    """A listed layer directory answers listings, opaque flags and lookups of
+    names it lacks from memory, and any change to it drops the whole listing."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_each_change_after_a_listing(self, tmp_path, depth):
+        before = diskfs.cache_counters()
+        for seed in range(3):
+            roots = stacked(tmp_path, depth, seed)
+            view = DiskOverlay(roots[:-1], roots[-1])
+            rng = random.Random(seed)
+            for layer in roots:
+                where = _pick(rng, layer, "dir")
+                made = [
+                    os.path.join(where, rng.choice(stackgen.NAMES) + "-new"),
+                    os.path.join(where, rng.choice(stackgen.NAMES) + "-newdir"),
+                    os.path.join(where, ".wh." + rng.choice(stackgen.NAMES)),
+                    os.path.join(where, ".wh..wh..opq"),
+                ]
+                for path in made:  # each made after a listing, then each removed
+                    check_coherent(view, roots, [p for root in roots for p in tree_paths(root)])
+                    if os.path.lexists(path):
+                        continue
+                    if path.endswith("-newdir"):
+                        os.mkdir(path)
+                        _touch(os.path.join(path, "inside"), b"inside")
+                    else:
+                        _touch(path, b"made")
+                for path in made:
+                    check_coherent(view, roots, [p for root in roots for p in tree_paths(root)])
+                    if os.path.isdir(path):
+                        shutil.rmtree(path)
+                    elif os.path.lexists(path):
+                        os.unlink(path)
+                check_coherent(view, roots, [p for root in roots for p in tree_paths(root)])
+        after = diskfs.cache_counters()
+        assert after["listing_hits"] > before["listing_hits"]
+        assert after["listing_misses"] > before["listing_misses"]
+
+    def listed(self, layers):
+        lower, upper = layers
+        (lower / "d").mkdir()
+        for i in range(20):
+            (lower / "d" / f"f{i}").write_bytes(b"f")
+        (upper / "d").mkdir()
+        (upper / "d" / "mine").write_bytes(b"m")
+        (upper / "d" / ".wh.f0").touch()
+        view = DiskOverlay([lower], upper)
+        assert [name for name, _ in view.list_dir("/d")] == sorted([f"f{i}" for i in range(1, 20)] + ["mine"])
+        return view, [diskfs._CACHE.dirs[f"{lower}/d/", False][1], diskfs._CACHE.dirs[f"{upper}/d/", True][1]]
+
+    def test_missing_names_cost_no_lstat_and_no_entry(self, layers, monkeypatch):
+        view, cached = self.listed(layers)
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify: nothing is cached")
+        sizes = [len(d) for d in cached]
+        lstats, lstat = [], os.lstat
+        monkeypatch.setattr(os, "lstat", lambda path, *a, **k: lstats.append(path) or lstat(path, *a, **k))
+        hits, misses = diskfs.cache_counters()["hits"], diskfs.cache_counters()["misses"]
+        for i in range(50):
+            assert view.resolve(f"/d/missing{i}").outcome is ResolutionKind.ABSENT
+        assert view.resolve("/d/f0").outcome is ResolutionKind.HIDDEN
+        assert view.list_dir("/d")[-1] == ("mine", Origin.UPPER)
+        monkeypatch.undo()
+        assert lstats == []
+        assert [len(d) for d in cached] == sizes
+        assert diskfs.cache_counters()["misses"] == misses
+        assert diskfs.cache_counters()["hits"] > hits
+
+    def test_an_event_drops_the_whole_listing(self, layers):
+        view, cached = self.listed(layers)
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify: nothing is cached")
+        lower, upper = layers
+        (lower / "d" / "late").write_bytes(b"late")
+        assert view.read_file("/d/late") == b"late"
+        assert dict(cached[0]) == {"late": diskfs._FILE}  # only what the read looked up again
+        assert "mine" in cached[1]  # the upper's listing is untouched
+        (upper / "d" / ".wh.late").touch()
+        assert view.resolve("/d/late").outcome is ResolutionKind.HIDDEN
+        assert "mine" not in cached[1]
+        assert [name for name, _ in view.list_dir("/d")] == sorted([f"f{i}" for i in range(1, 20)] + ["mine"])
+
+    def test_unwatchable_directory_lists_from_disk(self, layers, monkeypatch):
+        lower, upper = layers
+        (lower / "d").mkdir()
+        (lower / "d" / "f").write_bytes(b"f")
+        view = DiskOverlay([lower], upper)
+        assert view.resolve("/").found
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify: nothing is cached")
+        libc, refused = diskfs._CACHE.libc, os.fsencode(f"{lower}/d/")
+
+        class Refusing:
+            def __getattr__(self, name):
+                return getattr(libc, name)
+
+            def inotify_add_watch(self, fd, path, mask):
+                return -1 if path == refused else libc.inotify_add_watch(fd, path, mask)
+
+        monkeypatch.setattr(diskfs._CACHE, "libc", Refusing())
+        failures = diskfs.cache_counters()["watch_failures"]
+        assert view.list_dir("/d") == [("f", Origin.LOWER)]
+        (lower / "d" / "g").write_bytes(b"g")
+        (lower / "d" / "f").unlink()
+        assert view.list_dir("/d") == [("g", Origin.LOWER)]
+        assert view.resolve("/d/f").outcome is ResolutionKind.ABSENT
+        assert diskfs.cache_counters()["watch_failures"] > failures
+        assert (f"{lower}/d/", False) not in diskfs._CACHE.dirs
+
+
+class TestNonUtf8Names:
+    """Names that are not UTF-8 list in the order of their raw bytes."""
+
+    def test_listing_matches_the_model(self, layers):
+        lower, upper = layers
+        raw = [b"\xff", b"a", b"\xc3\xa9", b"\xfe", b"z\x80"]
+        for name in raw:
+            with open(os.path.join(bytes(lower), name), "wb") as fh:
+                fh.write(name)
+        os.mkdir(os.path.join(bytes(upper), b"d\xfd"))
+        with open(os.path.join(bytes(upper), b".wh.\xfe"), "wb"):
+            pass
+        view = DiskOverlay([lower], upper)
+        listing = view.list_dir("/")
+        assert listing == model.merged_listing(disk_layers([lower, upper]), "/")
+        names = [os.fsencode(name) for name, _ in listing]
+        assert names == sorted([b"\xff", b"a", b"\xc3\xa9", b"z\x80", b"d\xfd"])
+        assert view.read_file("/" + os.fsdecode(b"z\x80")) == b"z\x80"
+        assert view.resolve("/" + os.fsdecode(b"\xfe")).outcome is ResolutionKind.HIDDEN
