@@ -207,6 +207,14 @@ def _kind(args) -> str:
     return "RootSandbox" if getattr(args, "root_sandbox", False) else "User"
 
 
+def _recover_commits(registry: Registry) -> None:
+    """Finish or abort a commit a dead process left before a root sandbox
+    opens: the replay clears the sandbox's upper layer, so it must not
+    wait for the next commit and take the edits made meanwhile with it."""
+    with registry.acquire_commit_lock(blocking=False):
+        commit_mod.recover(registry.journal_dir())
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -234,6 +242,8 @@ def cmd_create(args) -> int:
     kind = _kind(args)
     if registry.lookup(user, kind) is not None:
         raise Duplicate(f"container already registered: {kind}/{user}")
+    if args.root_sandbox:
+        _recover_commits(registry)
     execute(plan, args.backend)
     registry.register(
         ContainerRecord(
@@ -262,6 +272,7 @@ def cmd_enter(args) -> int:
     backend = args.backend or meta["backend"]
     host_root = meta["lower"]
     if kind == "RootSandbox":
+        _recover_commits(registry)
         scratch = str(Path(record.upper_dir).parent)
         plan = plan_sandbox_update(host_root, scratch, entry_command=command or DEFAULT_ENTRY)
     else:

@@ -504,13 +504,12 @@ class DiskOverlay:
     def resolve(self, path: str) -> Resolution:
         _CACHE.drain()
         parts = model.split_path(path)
-        path = model.join_path(parts)
         mask = self._mask_at(path)
         if mask is not None and mask[1] == "empty":
             if path == mask[0]:
                 return Resolution(ResolutionKind.FOUND_UPPER, Directory(children={}))
             return Resolution(ResolutionKind.ABSENT)
-        res = model.lookup(self._layers, path)
+        res = model.lookup(self._layers, parts)
         if not res.found:
             return res
         real = self._real(res.layer, parts)  # type: ignore[arg-type]
@@ -547,13 +546,12 @@ class DiskOverlay:
     def list_dir(self, path: str) -> list[tuple[str, Origin]]:
         _CACHE.drain()
         parts = model.split_path(path)
-        path = model.join_path(parts)
         mask = self._mask_at(path)
         if mask is not None and mask[1] == "empty":
             if path == mask[0]:
                 return []
             raise AbsentPath(path)
-        return model.merged_listing(self._layers, path)
+        return model.merged_listing(self._layers, parts)
 
     # -- write side ---------------------------------------------------------
 
@@ -571,7 +569,6 @@ class DiskOverlay:
                     fh.write(data)
                 return
         parts = model.split_path(path)
-        path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
         if self._apply(model.plan_write(self._layers, parts, data)):
@@ -583,7 +580,6 @@ class DiskOverlay:
         in-place streaming updates."""
         _CACHE.drain()
         parts = model.split_path(path)
-        path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
         res = self._found(parts)
@@ -602,7 +598,6 @@ class DiskOverlay:
     def remove(self, path: str, recursive: bool = False) -> None:
         _CACHE.drain()
         parts = model.split_path(path)
-        path = model.join_path(parts)
         _check_component_names(parts)
         self._check_writable(path)
         self._apply(model.plan_remove(self._layers, parts, recursive))

@@ -274,24 +274,14 @@ class _Execution:
                 self.record(step, StepStatus.SIMULATED, t0=t0)
 
     def _run_kernel(self) -> None:
-        from .kernel import KernelWorker
+        from .kernel import run_plan
 
-        failures: list[tuple[int, str]] = []
-
-        def report_step(ordinal: int, ok: bool, detail: str) -> None:
-            if ordinal < 0:
-                failures.append((len(self.plan.steps) - 1, detail))
-                return
+        outcomes, entry_rc = run_plan(self.plan, self.run_entry)
+        for ordinal, ok, detail in outcomes:
             step = self.plan.steps[ordinal]
-            if ok:
-                self.record(step, StepStatus.OK, detail)
-            else:
-                failures.append((ordinal, detail))
-
-        entry_rc = KernelWorker(self.plan, self.run_entry).run(report_step)
-        if failures:
-            ordinal, reason = failures[0]
-            raise self.fail(self.plan.steps[ordinal], reason)
+            if not ok:
+                raise self.fail(step, detail)
+            self.record(step, StepStatus.OK, detail)
         if self.run_entry:
             self.report.entry_exit_code = entry_rc
 

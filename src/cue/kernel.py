@@ -1,11 +1,18 @@
 """Privileged backend: real namespaces, mounts, and capability drops.
 
-Runs the plan in a double fork: the first child unshares mount/pid/uts,
-the second (pid 1 of the new pid namespace) performs every mount, drops
-capabilities, chroots into the merged view, and execs the entry command.
-Step statuses stream back over a pipe.  All mounts live in the private
-mount namespace, so they unwind when the container's processes exit; on a
-mid-plan failure the worker also unmounts explicitly in reverse order.
+run_plan() runs the plan in a double fork: the first child unshares
+mount/pid/uts, the second (pid 1 of the new pid namespace) performs every
+mount, drops capabilities, chroots into the merged view, and execs the
+entry command.  All mounts live in the private mount namespace, so they
+unwind when the container's processes exit; on a mid-plan failure pid 1
+also unmounts explicitly in reverse order.
+
+Both children report each step they run on one pipe, one line per step:
+
+    <ordinal> OK|FAILED <detail>
+
+with "-" for an empty detail.  An unexpected error in either child is
+reported as a FAILED line on the plan's last step (EXEC).
 
 The entry process keeps real uid 0 (no user-namespace mapping); whether
 that uid may do anything interesting is decided by the capability table,
@@ -19,8 +26,9 @@ import os
 from pathlib import Path
 
 from .capabilities import CapabilitySet
+from .planner import BindMode, SetupPlan, SetupStep, StepKind
 
-__all__ = ["kernel_available", "KernelWorker", "CAP_NUMBERS"]
+__all__ = ["kernel_available", "run_plan", "CAP_NUMBERS"]
 
 _libc = ctypes.CDLL("libc.so.6", use_errno=True)
 
@@ -142,39 +150,52 @@ def _capset_mask(mask: int) -> None:
         raise _oserror("capset")
 
 
-def drop_capabilities(policy: CapabilitySet, keep_transient: frozenset[str] = frozenset()) -> None:
+def _cap_mask(names) -> int:
+    return sum({1 << CAP_NUMBERS[name] for name in names if name in CAP_NUMBERS})
+
+
+def drop_capabilities(policy: CapabilitySet) -> None:
     """Restrict the bounding set and all capset vectors to the allow list.
 
     Capabilities cannot be raised, only kept or dropped, so the result is
     the intersection of the allow list with what the launcher holds.
-    keep_transient names caps left in effective/permitted (never in the
-    bounding set) so the remaining setup steps can finish; callers shed
-    them with shed_transient() immediately afterwards.
+    CAP_SYS_CHROOT stays in effective/permitted (never in the bounding
+    set) so the chroot step can run; that step sheds it.
     """
-    allowed = {CAP_NUMBERS[name] for name in policy.allowed() if name in CAP_NUMBERS}
-    transient = {CAP_NUMBERS[name] for name in keep_transient if name in CAP_NUMBERS}
+    allowed = _cap_mask(policy.allowed())
     try:
         last_cap = int(Path("/proc/sys/kernel/cap_last_cap").read_text())
     except OSError:
         last_cap = max(CAP_NUMBERS.values())
     for cap in range(last_cap + 1):
-        if cap in allowed:
-            continue
-        if _libc.prctl(PR_CAPBSET_DROP, cap, 0, 0, 0) != 0:
+        if not allowed >> cap & 1 and _libc.prctl(PR_CAPBSET_DROP, cap, 0, 0, 0) != 0:
             raise _oserror(f"prctl(PR_CAPBSET_DROP, {cap})")
-    mask = 0
-    for cap in allowed | transient:
-        mask |= 1 << cap
-    _capset_mask(mask)
+    _capset_mask(allowed | _cap_mask(["CAP_SYS_CHROOT"]))
 
 
-def shed_transient(policy: CapabilitySet) -> None:
-    """Drop everything outside the allow list from the capset vectors."""
-    mask = 0
-    for name in policy.allowed():
-        if name in CAP_NUMBERS:
-            mask |= 1 << CAP_NUMBERS[name]
-    _capset_mask(mask)
+def _report(fd: int, ordinal: int, ok: bool, detail: str) -> None:
+    detail = detail.replace("\n", " ") or "-"
+    os.write(fd, f"{ordinal} {'OK' if ok else 'FAILED'} {detail}\n".encode())
+
+
+def _fork(fd: int, last: int, body) -> int:
+    """Fork a child that runs body() and exits with code 11 should body
+    return or raise; an error it raises is reported as step last FAILED."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            body()
+        except BaseException as err:  # never unwind into the caller
+            _report(fd, last, False, str(err))
+        finally:
+            os._exit(11)
+    return pid
+
+
+def _wait(pid: int) -> int:
+    """Exit code of a child; 128 + signal number when a signal ended it."""
+    rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return rc if rc >= 0 else 128 - rc
 
 
 def kernel_available(scratch: Path) -> tuple[bool, str]:
@@ -183,218 +204,121 @@ def kernel_available(scratch: Path) -> tuple[bool, str]:
     if os.geteuid() != 0:
         return False, "not running as root"
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            _unshare(CLONE_NEWNS | CLONE_NEWUTS | CLONE_NEWPID)
-            _mount("none", "/", None, MS_REC | MS_PRIVATE, None)
-            base = Path(scratch)
-            base.mkdir(parents=True, exist_ok=True)
-            _mount("tmpfs", base, "tmpfs", 0, "size=16m")
-            for sub in ("upper", "work", "merged"):
-                (base / sub).mkdir()
-            _mount(
-                "overlay",
-                base / "merged",
-                "overlay",
-                0,
-                f"lowerdir=/,upperdir={base}/upper,workdir={base}/work",
-            )
-            _umount(base / "merged")
-            _umount(base)
-            code = 0
-        except OSError as err:
-            os.write(write_fd, str(err).encode()[:200])
-        finally:
-            os.close(write_fd)
-            os._exit(code)
+    pid = _fork(write_fd, 0, lambda: _probe(Path(scratch)))
     os.close(write_fd)
-    reason = os.read(read_fd, 256).decode(errors="replace")
-    os.close(read_fd)
-    _, status = os.waitpid(pid, 0)
-    ok = os.waitstatus_to_exitcode(status) == 0
+    with os.fdopen(read_fd) as pipe:
+        reason = pipe.read().split(" ", 2)[-1].strip()
+    ok = _wait(pid) == 0
     return ok, reason or ("ok" if ok else "probe failed")
 
 
-class KernelWorker:
-    """Executes the namespace/mount/exec part of a plan in forked children.
+def _probe(base: Path) -> None:
+    _unshare(CLONE_NEWNS | CLONE_NEWUTS | CLONE_NEWPID)
+    _mount("none", "/", None, MS_REC | MS_PRIVATE, None)
+    base.mkdir(parents=True, exist_ok=True)
+    _mount("tmpfs", base, "tmpfs", 0, "size=16m")
+    for sub in ("upper", "work", "merged"):
+        (base / sub).mkdir()
+    options = f"lowerdir=/,upperdir={base}/upper,workdir={base}/work"
+    _mount("overlay", base / "merged", "overlay", 0, options)
+    os._exit(0)  # the mounts go with the private namespace
 
-    The caller (executor) handles MakeDirs, locking, transcripts, and
-    report assembly; this class owns everything that needs privilege.
+
+def run_plan(plan: SetupPlan, run_entry: bool) -> tuple[list[tuple[int, bool, str]], int]:
+    """Run the namespace/mount/exec steps of plan in a forked container.
+
+    Returns the (ordinal, ok, detail) outcomes the container reported, in
+    order, and the entry's exit code (0 when the entry is deferred).  The
+    caller (executor) handles MakeDirs, locking, transcripts, and report
+    assembly.
     """
+    read_fd, write_fd = os.pipe()
+    pid = _fork(write_fd, plan.steps[-1].ordinal, lambda: _outer(plan, run_entry, write_fd))
+    os.close(write_fd)
+    outcomes = []
+    with os.fdopen(read_fd) as pipe:
+        for line in pipe:
+            ordinal, status, detail = line.rstrip("\n").split(" ", 2)
+            outcomes.append((int(ordinal), status == "OK", detail))
+    rc = _wait(pid)
+    return outcomes, rc if run_entry else 0
 
-    def __init__(self, plan, run_entry: bool):
-        self.plan = plan
-        self.run_entry = run_entry
 
-    def run(self, report_step) -> int:
-        """Fork off the container; report_step(ordinal, ok, detail) is called
-        for each privileged step. Returns the entry's exit code (0 when the
-        entry is deferred)."""
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_fd)
-            try:
-                self._child_outer(write_fd)
-            except BaseException as err:  # never unwind into the caller
-                try:
-                    os.write(write_fd, f"ABORT {err}\n".encode())
-                except OSError:
-                    pass
-                os._exit(11)
-            os._exit(0)
-        os.close(write_fd)
-        entry_rc = 0
-        with os.fdopen(read_fd) as pipe:
-            for line in pipe:
-                line = line.rstrip("\n")
-                if line.startswith("STEP "):
-                    _, ordinal, status, detail = line.split(" ", 3)
-                    report_step(int(ordinal), status == "OK", detail)
-                elif line.startswith("ABORT "):
-                    report_step(-1, False, line[len("ABORT "):])
-        _, status = os.waitpid(pid, 0)
-        rc = os.waitstatus_to_exitcode(status)
-        if self.run_entry:
-            entry_rc = rc
-        return entry_rc
+def _outer(plan: SetupPlan, run_entry: bool, fd: int) -> None:
+    """First child: unshare the namespaces, then wait for pid 1."""
+    try:
+        _unshare(CLONE_NEWNS | CLONE_NEWUTS | CLONE_NEWPID)
+        _mount("none", "/", None, MS_REC | MS_PRIVATE, None)
+        ok, detail = True, "unshared"
+    except OSError as err:
+        ok, detail = False, str(err)
+    for step in plan.steps:
+        if step.kind is StepKind.NEW_NAMESPACE:
+            _report(fd, step.ordinal, ok, detail)
+    if not ok:
+        os._exit(11)
+    os._exit(_wait(_fork(fd, plan.steps[-1].ordinal, lambda: _container(plan, run_entry, fd))))
 
-    # -- children ----------------------------------------------------------
 
-    def _report(self, fd: int, ordinal: int, ok: bool, detail: str) -> None:
-        detail = detail.replace("\n", " ") or "-"
-        os.write(fd, f"STEP {ordinal} {'OK' if ok else 'FAILED'} {detail}\n".encode())
-
-    def _child_outer(self, fd: int) -> None:
-        from .planner import StepKind  # local import to keep fork cheap
-
-        ns_steps = [s for s in self.plan.steps if s.kind is StepKind.NEW_NAMESPACE]
+def _container(plan: SetupPlan, run_entry: bool, fd: int) -> None:
+    """Pid 1 of the new pid namespace: every in-container step, then exec."""
+    mounted: list[str] = []
+    *steps, entry = plan.steps
+    for step in steps:
+        if step.kind in (StepKind.MAKE_DIRS, StepKind.NEW_NAMESPACE):
+            continue  # done by the executor and the first child
         try:
-            _unshare(CLONE_NEWNS | CLONE_NEWUTS | CLONE_NEWPID)
-            _mount("none", "/", None, MS_REC | MS_PRIVATE, None)
+            _perform(step, plan, mounted)
         except OSError as err:
-            for step in ns_steps:
-                self._report(fd, step.ordinal, False, str(err))
+            _report(fd, step.ordinal, False, str(err))
+            for target in reversed(mounted):
+                _umount(target)
             os._exit(11)
-        for step in ns_steps:
-            self._report(fd, step.ordinal, True, "unshared")
-        inner = os.fork()
-        if inner == 0:
-            try:
-                self._child_inner(fd)
-            except BaseException as err:
-                try:
-                    os.write(fd, f"ABORT {err}\n".encode())
-                except OSError:
-                    pass
-                os._exit(11)
-            os._exit(0)
-        _, status = os.waitpid(inner, 0)
-        rc = os.waitstatus_to_exitcode(status)
-        os._exit(rc if rc >= 0 else 128 - rc)
+        _report(fd, step.ordinal, True, "-")
+    _report(fd, entry.ordinal, True, "exec" if run_entry else "deferred")
+    if not run_entry:
+        os._exit(0)
+    env = {
+        "PATH": "/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin",
+        "HOME": "/root",
+    }
+    if os.environ.get("TERM"):
+        env["TERM"] = os.environ["TERM"]
+    os.execvpe(entry.args[0], list(entry.args), env)  # the pipe is close-on-exec
 
-    def _child_inner(self, fd: int) -> None:
-        from .planner import StepKind
 
-        cfg = self.plan.config
-        mounted: list[str] = []
-
-        def do(step, fn) -> None:
-            try:
-                fn()
-            except OSError as err:
-                self._report(fd, step.ordinal, False, str(err))
-                for target in reversed(mounted):
-                    _umount(target)
-                os._exit(11)
-            self._report(fd, step.ordinal, True, "-")
-
-        for step in self.plan.steps:
-            if step.kind is StepKind.OVERLAY_MOUNT:
-                lower, upper, work, merged = step.args
-
-                def overlay():
-                    _mount(
-                        "overlay",
-                        merged,
-                        "overlay",
-                        0,
-                        f"lowerdir={lower},upperdir={upper},workdir={work}",
-                    )
-                    mounted.append(merged)
-
-                do(step, overlay)
-            elif step.kind is StepKind.SET_HOSTNAME:
-                do(step, lambda: _sethostname(step.args[0]))
-            elif step.kind is StepKind.BIND_MOUNT:
-                do(step, self._binder(step, mounted))
-            elif step.kind is StepKind.REMOUNT_PROC:
-                proc = Path(cfg.merged_dir) / "proc"
-
-                def remount_proc():
-                    proc.mkdir(parents=True, exist_ok=True)
-                    _mount("proc", proc, "proc", 0, None)
-                    mounted.append(str(proc))
-
-                do(step, remount_proc)
-            elif step.kind is StepKind.DROP_CAPABILITIES:
-                do(
-                    step,
-                    lambda: drop_capabilities(
-                        self.plan.capability_set,
-                        keep_transient=frozenset({"CAP_SYS_CHROOT"}),
-                    ),
-                )
-            elif step.kind is StepKind.CHANGE_ROOT:
-                def change_root():
-                    os.chroot(cfg.merged_dir)
-                    os.chdir("/")
-                    # the one capability held past the drop step, now shed
-                    shed_transient(self.plan.capability_set)
-
-                do(step, change_root)
-            elif step.kind is StepKind.EXEC:
-                if not self.run_entry:
-                    self._report(fd, step.ordinal, True, "deferred")
-                    os._exit(0)
-                self._report(fd, step.ordinal, True, "exec")
-                env = {
-                    "PATH": "/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin",
-                    "HOME": "/root",
-                }
-                if os.environ.get("TERM"):
-                    env["TERM"] = os.environ["TERM"]
-                os.close(fd)
-                os.execvpe(step.args[0], list(step.args), env)
-
-    def _binder(self, step, mounted: list[str]):
-        from .planner import BindMode
-
+def _perform(step: SetupStep, plan: SetupPlan, mounted: list[str]) -> None:
+    """Apply one in-container step, appending each mount it makes to mounted."""
+    if step.kind is StepKind.OVERLAY_MOUNT:
+        lower, upper, work, merged = step.args
+        _mount("overlay", merged, "overlay", 0, f"lowerdir={lower},upperdir={upper},workdir={work}")
+        mounted.append(merged)
+    elif step.kind is StepKind.SET_HOSTNAME:
+        _sethostname(step.args[0])
+    elif step.kind is StepKind.BIND_MOUNT:
         src, dst, mode = step.args
-
-        def bind():
-            dst_path = Path(dst)
-            if mode == BindMode.REMOUNT_RO.value:
-                _mount(src, dst, None, MS_BIND, None)
-                _mount(None, dst, None, MS_BIND | MS_REMOUNT | MS_RDONLY, None)
-                mounted.append(dst)
-                return
-            src_path = Path(src)
-            if mode == BindMode.EMPTY.value:
-                src_path.mkdir(parents=True, exist_ok=True)
-                dst_path.mkdir(parents=True, exist_ok=True)
+        if mode == BindMode.EMPTY.value:
+            os.makedirs(src, exist_ok=True)
+            os.makedirs(dst, exist_ok=True)
+        elif mode != BindMode.REMOUNT_RO.value:
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            if os.path.isdir(src):
+                os.makedirs(dst, exist_ok=True)
             else:
-                dst_path.parent.mkdir(parents=True, exist_ok=True)
-                if src_path.is_dir():
-                    dst_path.mkdir(exist_ok=True)
-                else:
-                    dst_path.touch(exist_ok=True)
-            _mount(src, dst, None, MS_BIND, None)
-            mounted.append(dst)
-            if mode in (BindMode.READ_ONLY.value, BindMode.EMPTY.value):
-                _mount(None, dst, None, MS_BIND | MS_REMOUNT | MS_RDONLY, None)
-
-        return bind
+                Path(dst).touch(exist_ok=True)
+        _mount(src, dst, None, MS_BIND, None)
+        mounted.append(dst)
+        if mode != BindMode.READ_WRITE.value:
+            _mount(None, dst, None, MS_BIND | MS_REMOUNT | MS_RDONLY, None)
+    elif step.kind is StepKind.REMOUNT_PROC:
+        proc = os.path.join(plan.config.merged_dir, "proc")
+        os.makedirs(proc, exist_ok=True)
+        _mount("proc", proc, "proc", 0, None)
+        mounted.append(proc)
+    elif step.kind is StepKind.DROP_CAPABILITIES:
+        drop_capabilities(plan.capability_set)
+    elif step.kind is StepKind.CHANGE_ROOT:
+        os.chroot(step.args[0])
+        os.chdir("/")
+        # shed CAP_SYS_CHROOT, held past the drop step for this chroot
+        _capset_mask(_cap_mask(plan.capability_set.allowed()))

@@ -340,21 +340,22 @@ def lookup(layers: Sequence[Directory], path: str | tuple[str, ...]) -> Resoluti
     return _walk(layers, path if isinstance(path, tuple) else split_path(path))[0]
 
 
-def merged_listing(layers: Sequence[Directory], path: str) -> list[tuple[str, Origin]]:
-    """Listing of path through layer root directories, bottom first,
-    byte-sorted by name.
+def merged_listing(layers: Sequence[Directory], path: str | tuple[str, ...]) -> list[tuple[str, Origin]]:
+    """Listing of path (a normalized path, or its split_path components)
+    through layer root directories, bottom first, byte-sorted by name.
 
     Upper entries shadow same-name lower entries; whiteout children are
     omitted; an opaque directory drops the entries of the layers below it.
     Only the children's names and whether they are whiteouts are read.
     """
-    res, trail = _walk(layers, split_path(path))
+    parts = path if isinstance(path, tuple) else split_path(path)
+    res, trail = _walk(layers, parts)
     if res.outcome is ResolutionKind.HIDDEN:
-        raise HiddenPath(path)
+        raise HiddenPath(join_path(parts))
     if not res.found:
-        raise AbsentPath(path)
+        raise AbsentPath(join_path(parts))
     if not isinstance(res.node, Directory):
-        raise NotADirectory(path)
+        raise NotADirectory(join_path(parts))
     names = _names(trail[-1], len(layers) - 1)
     return [(n, names[n]) for n in sorted(names, key=_byte_key)]
 

@@ -302,12 +302,11 @@ def default_config(
     host_root: str = "/",
     hostname: str = "",
     entry_command: Sequence[str] = DEFAULT_ENTRY,
-    kind: str = "user",
 ) -> ContainerConfig:
     """Config with the standard defaults: volume dirs under the state root,
     the pseudo-device set, and the state root itself masked from the
     container (the registry must not be user-visible)."""
-    volumes = f"{state_root}/volumes/{kind}/{user}"
+    volumes = f"{state_root}/volumes/user/{user}"
     return ContainerConfig(
         user=user,
         host_root=host_root,

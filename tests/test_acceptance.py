@@ -345,7 +345,7 @@ def kernel_backend():
         pytest.skip(reason)
 
 
-def test_c09_kernel_backend_smoke(tmp_path, kernel_backend):
+def test_c09_kernel_backend_smoke(tmp_path, kernel_backend, private_mounts):
     """Criterion 9 (privileged): inside a kernel container the process list
     is the container's own, the hostname is the configured one, and a /lib
     write lands in the upper layer, not the host."""

@@ -163,6 +163,35 @@ class TestCommitFlow:
         code, _, _ = run_cli(env + ["enter", "--root-sandbox", "root-sandbox", "--", "/bin/true"])
         assert code == 3
 
+    def test_sandbox_finishes_a_crashed_commit_before_it_opens(self, env, host, tmp_path):
+        # a commit that died after its commit point is replayed when the
+        # root sandbox next opens; left to the next commit, its replay would
+        # clear the edits made in the sandbox meanwhile
+        from cue import commit
+        from cue.executor import load_meta, view_for
+        from cue.registry import Registry
+
+        assert run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])[0] == 0
+        work = tmp_path / "state" / "volumes" / "rootsandbox" / "root-sandbox" / "work"
+        view = view_for(load_meta(work))
+        view.write_file("/etc/a.conf", b"a")
+        view.write_file("/etc/b.conf", b"b")
+
+        def crash(point, index):
+            if point == "apply-entry" and index == 1:
+                raise RuntimeError("simulated crash")
+
+        journals = Registry(tmp_path / "state").journal_dir()
+        with pytest.raises(RuntimeError):
+            commit.run_commit(host, work.parent / "upper", journals, fault_hook=crash)
+        code, _, _ = run_cli(env + ["enter", "--root-sandbox", "root-sandbox", "--", "/bin/true"])
+        assert code == 0
+        view_for(load_meta(work)).write_file("/etc/new", b"new")
+        code, _, _ = run_cli(env + ["commit", "--sandbox-of-root"])
+        assert code == 0
+        assert (host / "etc" / "new").read_bytes() == b"new"
+        assert (host / "etc" / "b.conf").read_bytes() == b"b"
+
     def test_concurrent_commit_gets_lock_busy(self, env, host, tmp_path):
         run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])
         from cue.registry import Registry

@@ -1,11 +1,10 @@
 """Kernel-backend smoke tests; run only where real namespaces/overlay work.
 
 The host filesystem may reject overlayfs upperdirs (e.g. network roots),
-so the fixture prepares a tmpfs scratch inside the test's own mount
-namespace... which child processes cannot share.  Instead each test runs
-the whole container lifecycle through fork-heavy execute(), with
-upper/work/merged placed on a tmpfs the fixture mounts lazily via a
-subprocess-visible location.
+so the scratch fixture puts upper/work/merged on a tmpfs.  It mounts that
+tmpfs in the test's private mount namespace (conftest's private_mounts),
+which execute()'s forks and run_inside()'s subprocesses inherit, so no
+test mount ever shows in the host's mount namespace.
 """
 
 import ctypes
@@ -16,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from cue.executor import Backend, execute, load_meta
+from cue.errors import StepFailed
+from cue.executor import Backend, StepStatus, execute, load_meta
 from cue.kernel import kernel_available
-from cue.planner import ContainerConfig, plan_create
+from cue.planner import ContainerConfig, StepKind, plan_create
 
 pytestmark = pytest.mark.skipif(os.geteuid() != 0, reason="kernel backend needs root")
 
@@ -34,8 +34,9 @@ def kernel_ok(tmp_path_factory):
 
 
 @pytest.fixture
-def scratch(tmp_path):
-    """tmpfs-backed scratch if the host fs cannot host an overlay upperdir."""
+def scratch(tmp_path, private_mounts):
+    """tmpfs-backed scratch if the host fs cannot host an overlay upperdir;
+    mounted in the test's private mount namespace."""
     base = tmp_path / "kscratch"
     base.mkdir()
     rc = _libc.mount(b"tmpfs", str(base).encode(), b"tmpfs", 0, b"size=256m")
@@ -45,7 +46,7 @@ def scratch(tmp_path):
     _libc.umount2(str(base).encode(), 0)
 
 
-def kernel_config(scratch: Path, entry=("/bin/true",)) -> ContainerConfig:
+def kernel_config(scratch: Path, entry=("/bin/true",), **extra) -> ContainerConfig:
     return ContainerConfig(
         user="kuser",
         host_root="/",
@@ -53,6 +54,7 @@ def kernel_config(scratch: Path, entry=("/bin/true",)) -> ContainerConfig:
         work_dir=str(scratch / "work"),
         merged_dir=str(scratch / "merged"),
         entry_command=tuple(entry),
+        **extra,
     )
 
 
@@ -137,6 +139,31 @@ class TestKernelBackend:
     def test_mount_forbidden_inside(self, kernel_ok, scratch):
         proc = run_inside(scratch, "mount -t tmpfs none /mnt 2>/dev/null")
         assert proc.returncode != 0
+
+
+class TestKernelFailures:
+    def test_failed_bind_mount_names_its_step(self, kernel_ok, scratch):
+        plan = plan_create(kernel_config(scratch, device_allow=(("/dev/cue-missing", "rw"),)))
+        (bind,) = [
+            s for s in plan.steps
+            if s.kind is StepKind.BIND_MOUNT and s.args[0] == "/dev/cue-missing"
+        ]
+        with pytest.raises(StepFailed) as info:
+            execute(plan, "kernel")
+        assert info.value.ordinal == bind.ordinal
+        outcomes = info.value.report.outcomes
+        assert [o.ordinal for o in outcomes] == list(range(bind.ordinal + 1))
+        assert all(o.status is StepStatus.OK for o in outcomes[:-1])
+        assert outcomes[-1].status is StepStatus.FAILED
+        for o in outcomes[:-1]:
+            want = "unshared" if o.kind == StepKind.NEW_NAMESPACE.value else "-"
+            assert o.detail == want, o
+
+    def test_missing_entry_command_fails_exec_step(self, kernel_ok, scratch):
+        plan = plan_create(kernel_config(scratch, entry=("/cue-no-such-command",)))
+        with pytest.raises(StepFailed) as info:
+            execute(plan, "kernel", run_entry=True)
+        assert info.value.ordinal == plan.steps[-1].ordinal
 
 
 def store_kernel_markers(tree, root: Path) -> None:
