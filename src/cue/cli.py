@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_formatter,
     )
     enter.add_argument("user")
-    enter.add_argument("--backend", choices=["sandbox", "kernel"], default=None,
-                       help="override the backend recorded at create time")
     enter.add_argument("--root-sandbox", action="store_true")
     enter.add_argument("run_args", nargs=argparse.REMAINDER, metavar="COMMAND",
                        help="command after --; default: the container's entry shell")
@@ -200,6 +198,10 @@ def _shared_root(args) -> str:
 
 
 def _split_remainder(argv: list[str]) -> list[str]:
+    """The command after the options; an option argparse left in front of
+    it (the remainder takes everything after the positionals) is refused."""
+    if argv and argv[0] != "--" and argv[0].startswith("-"):
+        raise InvalidConfig("command", f"unrecognized option {argv[0]}; put the command after --")
     return argv[1:] if argv[:1] == ["--"] else argv
 
 
@@ -264,12 +266,13 @@ def cmd_enter(args) -> int:
     registry = Registry(state_root)
     kind = _kind(args)
     user = ROOT_SANDBOX_USER if args.root_sandbox else args.user
+    command = tuple(_split_remainder(args.run_args))
     record = registry.lookup(user, kind)
     if record is None:
         raise NotFound(f"no such container: {kind}/{user}")
-    command = tuple(_split_remainder(args.run_args))
+    # always the recorded backend: overlayfs would read a sandbox upper's
+    # .wh.* markers as plain files, bringing deleted base files back
     meta = load_meta(record.work_dir)  # NotFound when missing: never guess the base
-    backend = args.backend or meta["backend"]
     host_root = meta["lower"]
     if kind == "RootSandbox":
         _recover_commits(registry)
@@ -287,7 +290,7 @@ def cmd_enter(args) -> int:
         )
     registry.set_status(user, kind, "Running")
     try:
-        report = execute(plan, backend, run_entry=True)
+        report = execute(plan, meta["backend"], run_entry=True)
     finally:
         registry.set_status(user, kind, "Stopped")
     return report.entry_exit_code or 0

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .diskfs import DiskOverlay
 from .errors import InvalidConfig, NotFound, SharedStorageUnavailable
-from .executor import Backend, _now_us, execute
+from .executor import Backend, _now_us, execute, load_meta
 from .planner import _USER_RE, ContainerConfig, MaskMode, _check_id, plan_create
 from .registry import ContainerRecord, Registry
 
@@ -169,8 +169,10 @@ def attach_login(
 
 
 def login_view(user: str, login_node: NodeHandle, *, shared: SharedLayout) -> DiskOverlay:
-    """The merged view a logged-in user works in (writable shared upper)."""
-    return DiskOverlay([login_node.node_root], shared.upper(user))
+    """The merged view a logged-in user works in (writable shared upper),
+    with the masks attach_login recorded (NotFound before the first login)."""
+    masks = load_meta(shared.work(user))["masks"]
+    return DiskOverlay([login_node.node_root], shared.upper(user), masks=masks)
 
 
 def _run_hook(hook: Optional[str]) -> None:

@@ -3,7 +3,9 @@
 The sandbox backend runs everywhere: directories are really created and
 the merged view is served lazily through DiskOverlay, while namespace,
 capability, and chroot steps are recorded as simulated in the transcript.
-The kernel backend needs root and does all of it for real.
+The kernel backend needs root and does all of it for real (kernel.run_plan).
+Both backends hand back their step outcomes, and one loop in execute()
+turns them into the report and the transcript.
 
 Either way the runtime stays daemon-less: execute() spawns nothing that
 outlives it except the container's own entry process, and a kernel
@@ -31,7 +33,7 @@ from typing import Optional
 
 from .diskfs import DiskOverlay
 from .errors import NotFound, PrivilegeRequired, RegistryConflict, StepFailed, WouldBlock
-from .planner import BindMode, SetupPlan, StepKind
+from .planner import BindMode, MaskMode, SetupPlan, StepKind
 from .registry import FileLock
 
 __all__ = [
@@ -75,7 +77,6 @@ class ExecutionReport:
     backend: Backend
     outcomes: list[StepOutcome] = field(default_factory=list)
     handle: str = ""  # the container's work dir; stable across processes
-    total_elapsed_us: int = 0
     entry_exit_code: Optional[int] = None
 
     @property
@@ -96,13 +97,6 @@ def _exec_lock_path(upper_dir: str) -> Path:
     return upper.parent / (upper.name + ".lock")
 
 
-def _masks_from_plan(plan: SetupPlan) -> list[tuple[str, str]]:
-    return [
-        (path, "empty" if mode.value == "empty-bind" else "ro")
-        for path, mode in plan.config.mask_paths
-    ]
-
-
 def view_for(meta: dict) -> DiskOverlay:
     """Merged view of a sandbox container, from its work-dir metadata."""
     return DiskOverlay(
@@ -120,10 +114,12 @@ def execute(
 ) -> ExecutionReport:
     """Apply every step of the plan, in ordinal order.
 
-    The first failing step terminates execution and unwinds the steps
-    already applied, in reverse order.  With run_entry=False the final
-    Exec step is recorded as deferred so creating a container does not
-    block on an interactive shell.
+    Each backend hands back its (ordinal, status, detail, elapsed_us) step
+    outcomes in order, and one loop records them: at the first FAILED step
+    it writes the transcript, removes the directories this execution
+    created, and raises StepFailed with the report attached.
+    With run_entry=False the final Exec step is recorded as deferred so
+    creating a container does not block on an interactive shell.
     """
     backend = Backend(backend)
     if backend is Backend.KERNEL and os.geteuid() != 0:
@@ -142,148 +138,103 @@ def execute(
             f"another execution holds the upper layer {plan.config.upper_dir}"
         ) from None
     try:
-        return _Execution(plan, backend, run_entry).run()
+        cfg, work = plan.config, Path(plan.config.work_dir)
+        t0, created = _now_us(), []
+        for path in map(Path, plan.steps[0].args):
+            if not path.exists():
+                path.mkdir(parents=True)
+                created.append(path)
+        (work / ".empty").mkdir(exist_ok=True)
+        outcomes = [(0, StepStatus.OK, "-", _now_us() - t0)]
+        if backend is Backend.KERNEL:
+            from .kernel import run_plan
+
+            ran, entry_rc = run_plan(plan, run_entry)
+            outcomes += [(o, StepStatus.OK if ok else StepStatus.FAILED, d, 0) for o, ok, d in ran]
+        else:
+            ran, entry_rc = _run_sandbox(plan, run_entry)
+            outcomes += ran
+
+        report, lines = ExecutionReport(backend=backend), []
+        for ordinal, status, detail, elapsed in outcomes:
+            step = plan.steps[ordinal]
+            report.outcomes.append(StepOutcome(ordinal, step.kind.value, status, detail, elapsed))
+            lines.append(f"{step.to_line()} -> {status.value}" + (f" ({detail})" if detail != "-" else ""))
+            if status is StepStatus.FAILED:
+                # transcript first: unwinding may remove the work dir itself
+                if work.is_dir():
+                    (work / TRANSCRIPT_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                for path in reversed(created):
+                    shutil.rmtree(path, ignore_errors=True)
+                err = StepFailed(ordinal, detail)
+                err.report = report  # type: ignore[attr-defined]
+                raise err
+
+        report.handle = cfg.work_dir
+        if run_entry:
+            report.entry_exit_code = entry_rc
+        meta = {
+            "backend": backend.value,
+            "user": cfg.user,
+            "hostname": cfg.hostname,
+            "lower": cfg.host_root,
+            "upper": cfg.upper_dir,
+            "work": cfg.work_dir,
+            "merged": cfg.merged_dir,
+            "masks": [(p, "empty" if m is MaskMode.EMPTY_BIND else "ro") for p, m in cfg.mask_paths],
+            "devices": [list(d) for d in cfg.device_allow],
+            "created_dirs": [str(p) for p in created],
+        }
+        meta_path(work).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        if backend is Backend.KERNEL:
+            lines.append("# uid-mapping host-root")
+        (work / TRANSCRIPT_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return report
     finally:
         lock.release()
 
 
-class _Execution:
-    def __init__(self, plan: SetupPlan, backend: Backend, run_entry: bool):
-        self.plan = plan
-        self.cfg = plan.config
-        self.backend = backend
-        self.run_entry = run_entry
-        self.report = ExecutionReport(backend=backend)
-        self.created_dirs: list[Path] = []
-        self.started = _now_us()
+def _run_sandbox(plan: SetupPlan, run_entry: bool) -> tuple[list, int]:
+    """Outcomes of the plan's steps after MakeDirs, up to the first failure,
+    and the entry's exit code (0 when it is deferred).
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def record(self, step, status: StepStatus, detail: str = "-", t0: int = 0) -> None:
-        elapsed = _now_us() - t0 if t0 else 0
-        self.report.outcomes.append(
-            StepOutcome(step.ordinal, step.kind.value, status, detail, elapsed)
-        )
-
-    def fail(self, step, reason: str) -> StepFailed:
-        self.record(step, StepStatus.FAILED, reason)
-        self.report.total_elapsed_us = _now_us() - self.started
-        self._write_transcript_and_unwind()
-        err = StepFailed(step.ordinal, reason)
-        err.report = self.report  # type: ignore[attr-defined]
-        return err
-
-    def _write_transcript_and_unwind(self) -> None:
-        # transcript first: unwinding may remove the work dir itself
-        self._write_transcript([])
-        for path in reversed(self.created_dirs):
-            shutil.rmtree(path, ignore_errors=True)
-
-    def _write_transcript(self, extra: list[str]) -> None:
-        work = Path(self.cfg.work_dir)
-        if not work.is_dir():
-            return
-        by_ordinal = {o.ordinal: o for o in self.report.outcomes}
-        lines = []
-        for step in self.plan.steps:
-            out = by_ordinal.get(step.ordinal)
-            if out is None:
-                continue
-            suffix = f" -> {out.status.value}"
-            if out.detail and out.detail != "-":
-                suffix += f" ({out.detail})"
-            lines.append(step.to_line() + suffix)
-        lines.extend(extra)
-        (work / TRANSCRIPT_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def _write_meta(self) -> None:
-        meta = {
-            "backend": self.backend.value,
-            "user": self.cfg.user,
-            "hostname": self.cfg.hostname,
-            "lower": self.cfg.host_root,
-            "upper": self.cfg.upper_dir,
-            "work": self.cfg.work_dir,
-            "merged": self.cfg.merged_dir,
-            "masks": _masks_from_plan(self.plan),
-            "devices": [list(d) for d in self.cfg.device_allow],
-            "created_dirs": [str(p) for p in self.created_dirs],
-        }
-        meta_path(self.cfg.work_dir).write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-        )
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self) -> ExecutionReport:
-        make_dirs = self.plan.steps[0]
+    Directories are real and the merged view is served lazily (view_for),
+    so the mount steps only check their sources; namespaces, hostname,
+    proc remount, capability drop and chroot are recorded as simulated.
+    """
+    outcomes = []
+    entry_rc = 0
+    for step in plan.steps[1:]:
         t0 = _now_us()
-        for raw in make_dirs.args:
-            path = Path(raw)
-            if not path.exists():
-                path.mkdir(parents=True)
-                self.created_dirs.append(path)
-        (Path(self.cfg.work_dir) / ".empty").mkdir(exist_ok=True)
-        self.record(make_dirs, StepStatus.OK, t0=t0)
-
-        if self.backend is Backend.KERNEL:
-            self._run_kernel()
-        else:
-            self._run_sandbox()
-
-        self.report.handle = self.cfg.work_dir
-        self.report.total_elapsed_us = _now_us() - self.started
-        self._write_meta()
-        self._write_transcript(
-            ["# uid-mapping host-root"] if self.backend is Backend.KERNEL else []
-        )
-        return self.report
-
-    def _run_sandbox(self) -> None:
-        for step in self.plan.steps[1:]:
-            t0 = _now_us()
-            if step.kind is StepKind.OVERLAY_MOUNT:
-                lower = step.args[0]
-                if not Path(lower).is_dir():
-                    raise self.fail(step, f"lower layer missing: {lower}")
-                self.record(step, StepStatus.OK, "lazy merged view bound", t0)
-            elif step.kind is StepKind.BIND_MOUNT:
-                src, _, mode = step.args
-                if mode in (BindMode.READ_ONLY.value, BindMode.READ_WRITE.value):
-                    if not Path(src).exists():
-                        raise self.fail(step, f"bind source missing: {src}")
-                self.record(step, StepStatus.SIMULATED, t0=t0)
-            elif step.kind is StepKind.EXEC:
-                if not self.run_entry:
-                    self.record(step, StepStatus.SIMULATED, "deferred", t0)
-                    continue
-                env = {
-                    "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-                    "HOME": self.cfg.merged_dir,
-                }
-                if os.environ.get("TERM"):
-                    env["TERM"] = os.environ["TERM"]
-                try:
-                    proc = subprocess.run(list(step.args), cwd=self.cfg.merged_dir, env=env)
-                except OSError as err:
-                    raise self.fail(step, f"cannot exec {step.args[0]}: {err}")
-                self.report.entry_exit_code = proc.returncode
-                self.record(step, StepStatus.OK, f"exit={proc.returncode}", t0)
+        status, detail = StepStatus.SIMULATED, "-"
+        if step.kind is StepKind.OVERLAY_MOUNT:
+            lower = step.args[0]
+            if Path(lower).is_dir():
+                status, detail = StepStatus.OK, "lazy merged view bound"
             else:
-                # namespaces, hostname, proc remount, capability drop, chroot
-                self.record(step, StepStatus.SIMULATED, t0=t0)
-
-    def _run_kernel(self) -> None:
-        from .kernel import run_plan
-
-        outcomes, entry_rc = run_plan(self.plan, self.run_entry)
-        for ordinal, ok, detail in outcomes:
-            step = self.plan.steps[ordinal]
-            if not ok:
-                raise self.fail(step, detail)
-            self.record(step, StepStatus.OK, detail)
-        if self.run_entry:
-            self.report.entry_exit_code = entry_rc
+                status, detail = StepStatus.FAILED, f"lower layer missing: {lower}"
+        elif step.kind is StepKind.BIND_MOUNT:
+            src, _, mode = step.args
+            if mode in (BindMode.READ_ONLY.value, BindMode.READ_WRITE.value) and not Path(src).exists():
+                status, detail = StepStatus.FAILED, f"bind source missing: {src}"
+        elif step.kind is StepKind.EXEC and not run_entry:
+            detail = "deferred"
+        elif step.kind is StepKind.EXEC:
+            env = {
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "HOME": plan.config.merged_dir,
+            }
+            if os.environ.get("TERM"):
+                env["TERM"] = os.environ["TERM"]
+            try:
+                entry_rc = subprocess.run(list(step.args), cwd=plan.config.merged_dir, env=env).returncode
+                status, detail = StepStatus.OK, f"exit={entry_rc}"
+            except OSError as err:
+                status, detail = StepStatus.FAILED, f"cannot exec {step.args[0]}: {err}"
+        outcomes.append((step.ordinal, status, detail, _now_us() - t0))
+        if status is StepStatus.FAILED:
+            break
+    return outcomes, entry_rc
 
 
 def load_meta(handle: str | Path) -> dict:

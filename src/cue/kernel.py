@@ -12,7 +12,10 @@ Both children report each step they run on one pipe, one line per step:
     <ordinal> OK|FAILED <detail>
 
 with "-" for an empty detail.  An unexpected error in either child is
-reported as a FAILED line on the plan's last step (EXEC).
+reported as a FAILED line on the plan's last step (EXEC), and so is a
+failed exec.  A successful exec writes no line (the pipe is close-on-exec):
+when the pipe ends right after the OK line of the last in-container step,
+run_plan records EXEC as OK itself.  A deferred entry writes "deferred".
 
 The entry process keeps real uid 0 (no user-namespace mapping); whether
 that uid may do anything interesting is decided by the capability table,
@@ -227,10 +230,10 @@ def _probe(base: Path) -> None:
 def run_plan(plan: SetupPlan, run_entry: bool) -> tuple[list[tuple[int, bool, str]], int]:
     """Run the namespace/mount/exec steps of plan in a forked container.
 
-    Returns the (ordinal, ok, detail) outcomes the container reported, in
-    order, and the entry's exit code (0 when the entry is deferred).  The
-    caller (executor) handles MakeDirs, locking, transcripts, and report
-    assembly.
+    Returns the (ordinal, ok, detail) outcomes of the steps after MakeDirs,
+    in order, and the entry's exit code (0 when the entry is deferred).
+    The caller (executor) handles MakeDirs, locking, transcripts, and
+    report assembly.
     """
     read_fd, write_fd = os.pipe()
     pid = _fork(write_fd, plan.steps[-1].ordinal, lambda: _outer(plan, run_entry, write_fd))
@@ -240,6 +243,9 @@ def run_plan(plan: SetupPlan, run_entry: bool) -> tuple[list[tuple[int, bool, st
         for line in pipe:
             ordinal, status, detail = line.rstrip("\n").split(" ", 2)
             outcomes.append((int(ordinal), status == "OK", detail))
+    entry = plan.steps[-1].ordinal
+    if run_entry and outcomes and outcomes[-1][:2] == (entry - 1, True):
+        outcomes.append((entry, True, "exec"))
     rc = _wait(pid)
     return outcomes, rc if run_entry else 0
 
@@ -275,8 +281,8 @@ def _container(plan: SetupPlan, run_entry: bool, fd: int) -> None:
                 _umount(target)
             os._exit(11)
         _report(fd, step.ordinal, True, "-")
-    _report(fd, entry.ordinal, True, "exec" if run_entry else "deferred")
     if not run_entry:
+        _report(fd, entry.ordinal, True, "deferred")
         os._exit(0)
     env = {
         "PATH": "/usr/local/sbin:/usr/local/bin:/usr/sbin:/usr/bin:/sbin:/bin",

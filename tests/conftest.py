@@ -35,6 +35,30 @@ def private_mounts():
         os.close(host)
 
 
+@pytest.fixture(scope="module")
+def kernel_ok(tmp_path_factory):
+    """Skip, with the probe's reason, where the kernel backend cannot run."""
+    from cue.kernel import kernel_available
+
+    ok, reason = kernel_available(tmp_path_factory.mktemp("probe") / "scratch")
+    if not ok:
+        pytest.skip(f"kernel backend unavailable: {reason}")
+    return True
+
+
+@pytest.fixture
+def scratch(tmp_path, private_mounts):
+    """tmpfs-backed scratch if the host fs cannot host an overlay upperdir;
+    mounted in the test's private mount namespace."""
+    libc = ctypes.CDLL("libc.so.6", use_errno=True)
+    base = tmp_path / "kscratch"
+    base.mkdir()
+    if libc.mount(b"tmpfs", str(base).encode(), b"tmpfs", 0, b"size=256m") != 0:
+        pytest.skip("cannot mount scratch tmpfs")
+    yield base
+    libc.umount2(str(base).encode(), 0)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL/SKIP line per acceptance criterion at the end of a run."""
     rows = {}

@@ -94,6 +94,7 @@ def test_paired_runs_and_their_summary(tool, tmp_path):
     assert listing["parent_iqr"] == round(q3 - q1, 4)
     assert listing["gain"] is True
     assert record["metrics"]["throughput_ops_s"]["change_wins"] == 4  # higher is better
+    assert listing["worse_than_bound"] is False and listing["unresolved"] is False
     rss = record["metrics"]["peak_rss_mib"]
     assert rss["change_wins"] == 0 and rss["gain"] is False  # ties count for neither side
 
@@ -111,3 +112,29 @@ def test_run_specs(tool):
     assert tool.parse_run("held-out=cluster-job:11:250") == ("held-out", "cluster-job", [11], 250)
     with pytest.raises(Exception):
         tool.parse_run("session")
+
+
+def runs_of(name: str, parent: list[float], change: list[float]) -> list[dict]:
+    return [{side: {"metrics": {name: {"value": value}}} for side, value in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+def test_worse_than_bound_and_unresolved(tool):
+    # a setup time that spreads wider than its 25% bound over runs of one parent
+    spread = [0.078, 0.080, 0.082, 0.090, 0.120, 0.150, 0.171]
+    record = tool.metric_record("lower", 0.25, runs_of("setup_s", spread, [0.106] * 7), "setup_s")
+    assert record["worse_than_bound"] is False  # 0.106 / 0.090 - 1 = +17.8%, within the bound
+    assert record["unresolved"] is True
+
+    record = tool.metric_record("lower", 0.25, runs_of("setup_s", [0.080] * 4, [0.1063] * 4), "setup_s")
+    assert record["worse_than_bound"] is True  # +32.9% against a 25% bound
+    assert record["unresolved"] is False  # the parent's runs do not spread at all
+
+    # every change run beats every parent run: wide parent spread, but resolved
+    record = tool.metric_record("lower", 0.25, runs_of("setup_s", spread, [0.05] * 7), "setup_s")
+    assert record["unresolved"] is False and record["worse_than_bound"] is False
+
+    # higher is better: a throughput that fell by 30% is worse than a 25% bound
+    record = tool.metric_record("higher", 0.25, runs_of("throughput_ops_s", [100.0] * 3, [70.0] * 3),
+                                "throughput_ops_s")
+    assert record["worse_than_bound"] is True and record["unresolved"] is False

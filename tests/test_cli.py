@@ -92,6 +92,21 @@ class TestEnter:
         work = tmp_path / "state" / "volumes" / "user" / "alice" / "work"
         assert "EXEC" in (work / "transcript.txt").read_text()
 
+    def test_backend_override_refused(self, env, host, tmp_path):
+        # the recorded backend is the only safe one: overlayfs would show a
+        # sandbox upper's .wh.* markers as plain files
+        run_cli(env + ["create", "alice", "--host-root", str(host)])
+        marker = tmp_path / "ran"
+        code, _, err = run_cli(env + ["enter", "alice", "--backend", "kernel", "--",
+                                      "/bin/sh", "-c", f"touch {marker}"])
+        assert code == 2 and "--backend" in err
+        assert not marker.exists()
+        work = tmp_path / "state" / "volumes" / "user" / "alice" / "work"
+        assert "(deferred)" in (work / "transcript.txt").read_text()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["enter", "--backend", "kernel", "alice", "--", "/bin/true"])
+        assert exc.value.code == 2
+
     def test_status_back_to_stopped(self, env, host):
         run_cli(env + ["create", "alice", "--host-root", str(host)])
         run_cli(env + ["enter", "alice", "--", "/bin/true"])

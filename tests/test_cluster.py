@@ -6,6 +6,7 @@ import pytest
 from cue import cluster
 from cue.cluster import NodeHandle, SharedLayout, attach_login, deploy_job, release_job
 from cue.errors import InvalidConfig, NotFound
+from cue.executor import load_meta, view_for
 from cue.model import ResolutionKind
 from cue.registry import Registry
 
@@ -64,6 +65,19 @@ class TestAttachLogin:
         alice.write_file("/lib/alice-only.so", b"a")
         assert not bob.resolve("/lib/alice-only.so").found
         assert alice.resolve("/lib/alice-only.so").found
+
+    def test_login_view_applies_recorded_masks(self, world):
+        shared, registry, login, _ = world
+        attach_login("alice", login, shared=shared, registry=registry)
+        # a copy of the state root's path under the login node's root
+        twin = login.node_root / str(registry.state_root).lstrip("/")
+        twin.mkdir(parents=True)
+        (twin / "secret.json").write_bytes(b"{}")
+        state = str(registry.state_root)
+        recorded = view_for(load_meta(shared.work("alice")))
+        view = cluster.login_view("alice", login, shared=shared)
+        assert recorded.list_dir(state) == view.list_dir(state) == []
+        assert not view.resolve(state + "/secret.json").found
 
     def test_missing_node_root(self, world, tmp_path):
         shared, registry, _, _ = world

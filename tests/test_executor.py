@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,40 @@ class TestSandboxExecute:
         execute(plan, "sandbox")
         added = tree_bytes(plan.config.upper_dir) + tree_bytes(plan.config.work_dir)
         assert added < 100 * 1024
+
+
+class TestReportShape:
+    """Both backends report the same shape; the kernel case runs as root only."""
+
+    @pytest.mark.parametrize("run_entry", [False, True], ids=["deferred", "entry"])
+    @pytest.mark.parametrize("backend", ["sandbox", "kernel"])
+    def test_one_outcome_and_line_per_step(self, request, tmp_path, host, backend, run_entry):
+        if backend == "kernel":
+            request.getfixturevalue("kernel_ok")
+            base = request.getfixturevalue("scratch")
+            cfg = ContainerConfig(
+                user="kuser",
+                host_root="/",
+                upper_dir=str(base / "upper"),
+                work_dir=str(base / "work"),
+                merged_dir=str(base / "merged"),
+                entry_command=("/bin/true",),
+            )
+        else:
+            cfg = config_for("alice", tmp_path, host, entry_command=("/bin/true",))
+        plan = plan_create(cfg)
+        report = execute(plan, backend, run_entry=run_entry)
+        assert [o.ordinal for o in report.outcomes] == list(range(len(plan.steps)))
+        kinds = [o.kind for o in report.outcomes]
+        assert kinds == [s.kind.value for s in plan.steps]
+        assert kinds.count("EXEC") == 1 and kinds[-1] == "EXEC"
+        assert report.entry_exit_code == (0 if run_entry else None)
+        lines = (Path(cfg.work_dir) / executor.TRANSCRIPT_NAME).read_text().splitlines()
+        extra = ["# uid-mapping host-root"] if backend == "kernel" else []
+        assert len(lines) == len(report.outcomes) + len(extra)
+        assert lines[len(report.outcomes):] == extra
+        for line, step, outcome in zip(lines, plan.steps, report.outcomes):
+            assert line.startswith(f"{step.to_line()} -> {outcome.status.value}")
 
 
 class TestTeardown:

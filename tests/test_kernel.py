@@ -1,13 +1,12 @@
 """Kernel-backend smoke tests; run only where real namespaces/overlay work.
 
 The host filesystem may reject overlayfs upperdirs (e.g. network roots),
-so the scratch fixture puts upper/work/merged on a tmpfs.  It mounts that
+so conftest's scratch fixture puts upper/work/merged on a tmpfs.  It mounts that
 tmpfs in the test's private mount namespace (conftest's private_mounts),
 which execute()'s forks and run_inside()'s subprocesses inherit, so no
 test mount ever shows in the host's mount namespace.
 """
 
-import ctypes
 import os
 import subprocess
 import sys
@@ -17,33 +16,9 @@ import pytest
 
 from cue.errors import StepFailed
 from cue.executor import Backend, StepStatus, execute, load_meta
-from cue.kernel import kernel_available
 from cue.planner import ContainerConfig, StepKind, plan_create
 
 pytestmark = pytest.mark.skipif(os.geteuid() != 0, reason="kernel backend needs root")
-
-_libc = ctypes.CDLL("libc.so.6", use_errno=True)
-
-
-@pytest.fixture(scope="module")
-def kernel_ok(tmp_path_factory):
-    ok, reason = kernel_available(tmp_path_factory.mktemp("probe") / "scratch")
-    if not ok:
-        pytest.skip(f"kernel backend unavailable: {reason}")
-    return True
-
-
-@pytest.fixture
-def scratch(tmp_path, private_mounts):
-    """tmpfs-backed scratch if the host fs cannot host an overlay upperdir;
-    mounted in the test's private mount namespace."""
-    base = tmp_path / "kscratch"
-    base.mkdir()
-    rc = _libc.mount(b"tmpfs", str(base).encode(), b"tmpfs", 0, b"size=256m")
-    if rc != 0:
-        pytest.skip("cannot mount scratch tmpfs")
-    yield base
-    _libc.umount2(str(base).encode(), 0)
 
 
 def kernel_config(scratch: Path, entry=("/bin/true",), **extra) -> ContainerConfig:
@@ -164,6 +139,9 @@ class TestKernelFailures:
         with pytest.raises(StepFailed) as info:
             execute(plan, "kernel", run_entry=True)
         assert info.value.ordinal == plan.steps[-1].ordinal
+        outcomes = info.value.report.outcomes
+        assert [o.kind for o in outcomes].count(StepKind.EXEC.value) == 1
+        assert len(outcomes) == len(plan.steps)
 
 
 def store_kernel_markers(tree, root: Path) -> None:

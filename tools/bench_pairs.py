@@ -17,8 +17,13 @@ BENCHMARK.json (the change's copy) each side's median and quartiles
 (ties count for neither), change_vs_parent (the change's median over the
 parent's, less one), the parent's q3 - q1, and whether that is a gain: the
 change won at least nine pairs in ten and its median is better by more
-than the parent's q3 - q1.  The file is rewritten after every pair, and a
-record of another label already in it is kept.  Standard library only.
+than the parent's q3 - q1.  Two more flags use the metric's bound:
+worse_than_bound (the change's median is worse than the parent's by more
+than the bound) and unresolved (the parent's q3 - q1 over its median
+exceeds the bound, and not every change run beats every parent run); each
+flagged metric is printed after its RUN.  The file is rewritten after
+every pair, and a record of another label already in it is kept.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def metric_record(better: str, runs: list[dict], name: str) -> dict:
+def metric_record(better: str, bound: float, runs: list[dict], name: str) -> dict:
     sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
     values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
     record = {"better": better, **{side: summary(values[side]) for side in SIDES}}
@@ -113,6 +118,11 @@ def metric_record(better: str, runs: list[dict], name: str) -> dict:
     record["parent_iqr"] = round(parent["q3"] - parent["q1"], 4)
     record["gain"] = (record["change_wins"] >= 0.9 * len(runs)
                       and sign * (parent["median"] - change["median"]) > record["parent_iqr"])
+    record["worse_than_bound"] = (record["change_vs_parent"] is not None
+                                  and sign * record["change_vs_parent"] > bound)
+    beats_all = all(sign * (p - c) > 0 for p in values["parent"] for c in values["change"])
+    record["unresolved"] = (bool(parent["median"]) and record["parent_iqr"] / abs(parent["median"]) > bound
+                            and not beats_all)
     return record
 
 
@@ -126,7 +136,7 @@ def workload_record(workload: str, seeds: list[int], units: int | None, runs: li
         "correct": all(run[side]["correct"] for run in runs for side in SIDES),
         "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
         "attempted": {side: sum(run[side]["attempted"] for run in runs) for side in SIDES},
-        "metrics": {m["name"]: metric_record(m["better"], runs, m["name"]) for m in end_to_end},
+        "metrics": {m["name"]: metric_record(m["better"], m["bound"], runs, m["name"]) for m in end_to_end},
         "cache_counters": counters,
         "runs": [
             {"seed": run["seed"], "first": run["first"],
@@ -176,6 +186,11 @@ def main(argv=None) -> int:
         counters = {side: counters_once(checkouts[side], [*common, "--seed", str(seeds[0])]) for side in SIDES}
         records[label] = workload_record(workload, seeds, units, runs, spec["end_to_end"], counters)
         args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+        for name, metric in records[label]["metrics"].items():
+            for flag in ("worse_than_bound", "unresolved"):
+                if metric[flag]:
+                    print(f"{label}: {name} {flag}: parent {metric['parent']} -> change {metric['change']}, "
+                          f"change_vs_parent {metric['change_vs_parent']}", flush=True)
     return 0
 
 
