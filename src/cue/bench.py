@@ -149,14 +149,7 @@ def bench_startup(
         plan = plan_create(default_config(user, state_root=state_root, host_root=host_root))
         report = execute(plan, backend)
         elapsed = _now_us() - t0
-        record = ContainerRecord(
-            user=user,
-            upper_dir=plan.config.upper_dir,
-            work_dir=plan.config.work_dir,
-            merged_dir=plan.config.merged_dir,
-            hostname=plan.config.hostname,
-        )
-        registry.register(record)
+        registry.register(ContainerRecord.of(plan.config))
         if timed:
             samples.append(elapsed)
             space.append(

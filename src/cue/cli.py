@@ -27,8 +27,8 @@ from . import bench as bench_mod
 from . import cluster as cluster_mod
 from . import commit as commit_mod
 from .capabilities import root_sandbox_policy, user_policy
-from .errors import CueError, Duplicate, InvalidConfig, NotFound
-from .executor import execute, load_meta
+from .errors import CueError, Duplicate, InvalidConfig, NotFound, RegistryConflict
+from .executor import execute, load_meta, recorded_config
 from .planner import (
     DEFAULT_ENTRY,
     ROOT_SANDBOX_USER,
@@ -247,52 +247,38 @@ def cmd_create(args) -> int:
     if args.root_sandbox:
         _recover_commits(registry)
     execute(plan, args.backend)
-    registry.register(
-        ContainerRecord(
-            user=user,
-            upper_dir=plan.config.upper_dir,
-            work_dir=plan.config.work_dir,
-            merged_dir=plan.config.merged_dir,
-            hostname=plan.config.hostname,
-            kind=kind,
-        )
-    )
+    registry.register(ContainerRecord.of(plan.config, kind=kind))
     print(f"created {kind}/{user} (backend={args.backend})")
     return 0
 
 
 def cmd_enter(args) -> int:
-    state_root = _state_root(args)
-    registry = Registry(state_root)
+    registry = Registry(_state_root(args))
     kind = _kind(args)
     user = ROOT_SANDBOX_USER if args.root_sandbox else args.user
     command = tuple(_split_remainder(args.run_args))
     record = registry.lookup(user, kind)
     if record is None:
         raise NotFound(f"no such container: {kind}/{user}")
-    # always the recorded backend: overlayfs would read a sandbox upper's
-    # .wh.* markers as plain files, bringing deleted base files back
+    # the container as recorded, and always its recorded backend: overlayfs would
+    # read a sandbox upper's .wh.* markers as plain files, bringing deleted base files back
     meta = load_meta(record.work_dir)  # NotFound when missing: never guess the base
-    host_root = meta["lower"]
+    entry = command or DEFAULT_ENTRY
     if kind == "RootSandbox":
         _recover_commits(registry)
-        scratch = str(Path(record.upper_dir).parent)
-        plan = plan_sandbox_update(host_root, scratch, entry_command=command or DEFAULT_ENTRY)
+        (lower,) = meta["lowers"]
+        plan = plan_sandbox_update(lower, str(Path(meta["upper"]).parent), entry_command=entry)
     else:
-        plan = plan_create(
-            default_config(
-                user,
-                state_root=state_root,
-                host_root=host_root,
-                hostname=record.hostname,
-                entry_command=command or DEFAULT_ENTRY,
-            )
-        )
+        plan = plan_create(recorded_config(meta, entry))
     registry.set_status(user, kind, "Running")
+    after = "Stopped"
     try:
         report = execute(plan, meta["backend"], run_entry=True)
+    except RegistryConflict:
+        after = record.status  # refused: the execution holding the upper owns the status
+        raise
     finally:
-        registry.set_status(user, kind, "Stopped")
+        registry.set_status(user, kind, after)
     return report.entry_exit_code or 0
 
 
@@ -302,7 +288,7 @@ def cmd_commit(args) -> int:
     record = registry.lookup(ROOT_SANDBOX_USER, "RootSandbox")
     if record is None:
         raise NotFound("no root sandbox; run `cue create --root-sandbox` first")
-    lower = load_meta(record.work_dir)["lower"]  # NotFound when missing: never guess the base
+    (lower,) = load_meta(record.work_dir)["lowers"]  # NotFound when missing: never guess the base
     with registry.acquire_commit_lock(blocking=False):
         result = commit_mod.run_commit(lower, record.upper_dir, registry.journal_dir())
     # the journal is retained under the state root and mirrored into the

@@ -7,6 +7,11 @@ root, topped by a per-node scratch layer that is discarded at release.
 Attachment moves no content, so deploying a 100 MiB customization costs
 the same as deploying a 1 MiB one.
 
+Every view is opened by executor.view_for from a description in one
+format: a login's container.json (which `cue enter` re-plans), and each
+compute node's attachment.json, whose "lowers" are the node root and the
+shared upper, "upper" the node's scratch, and "masks" the state root's.
+
 Desk scale: a "node" is any directory standing in for a node's "/",
 declared in a nodes.json manifest ([{"node_id": ..., "node_root": ...}]).
 """
@@ -23,7 +28,7 @@ from typing import Optional, Sequence
 
 from .diskfs import DiskOverlay
 from .errors import InvalidConfig, NotFound, SharedStorageUnavailable
-from .executor import Backend, _now_us, execute, load_meta
+from .executor import Backend, _now_us, execute, load_meta, view_for
 from .planner import _USER_RE, ContainerConfig, MaskMode, _check_id, plan_create
 from .registry import ContainerRecord, Registry
 
@@ -153,14 +158,7 @@ def attach_login(
     )
     with registry.acquire_record_lock(user, "User", blocking=True):
         execute(plan_create(config), backend)
-        record = ContainerRecord(
-            user=user,
-            upper_dir=config.upper_dir,
-            work_dir=config.work_dir,
-            merged_dir=config.merged_dir,
-            hostname=config.hostname,
-            status="Running",
-        )
+        record = ContainerRecord.of(config, status="Running")
         if registry.lookup(user, "User") is None:
             registry.register(record)
         else:
@@ -169,10 +167,9 @@ def attach_login(
 
 
 def login_view(user: str, login_node: NodeHandle, *, shared: SharedLayout) -> DiskOverlay:
-    """The merged view a logged-in user works in (writable shared upper),
-    with the masks attach_login recorded (NotFound before the first login)."""
-    masks = load_meta(shared.work(user))["masks"]
-    return DiskOverlay([login_node.node_root], shared.upper(user), masks=masks)
+    """The merged view a logged-in user works in on login_node: the login
+    attach_login recorded (NotFound before the first login), over that node."""
+    return view_for({**load_meta(shared.work(user)), "lowers": [login_node.node_root]})
 
 
 def _run_hook(hook: Optional[str]) -> None:
@@ -213,10 +210,10 @@ def deploy_job(
             attachment = {
                 "user": user,
                 "node_id": node.node_id,
-                "node_root": str(node.node_root),
-                "shared_upper": str(upper),
-                "scratch": str(deploy / "scratch"),
+                "lowers": [str(node.node_root), str(upper)],
+                "upper": str(deploy / "scratch"),
                 "merged": str(deploy / "merged"),
+                "masks": [(str(registry.state_root), "empty")],
             }
             (deploy / "attachment.json").write_text(
                 json.dumps(attachment, indent=2) + "\n", encoding="utf-8"
@@ -233,17 +230,15 @@ def deploy_job(
 
 
 def node_view(user: str, node: NodeHandle, *, registry: Registry) -> DiskOverlay:
-    """Merged view on a compute node: node root, then the user's shared
-    upper (read-only), then the node's scratch on top."""
-    deploy = _deploy_dir(registry.state_root, user, node.node_id)
-    meta_path = deploy / "attachment.json"
-    if not meta_path.exists():
-        raise NotFound(f"user {user!r} is not deployed on node {node.node_id}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return DiskOverlay(
-        [meta["node_root"], meta["shared_upper"]],
-        meta["scratch"],
-    )
+    """Merged view on a compute node, opened by executor.view_for from the
+    node's attachment.json: node root, then the user's shared upper
+    (read-only), then the node's scratch on top, with the state root masked."""
+    path = _deploy_dir(registry.state_root, user, node.node_id) / "attachment.json"
+    try:
+        attachment = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise NotFound(f"user {user!r} is not deployed on node {node.node_id}") from None
+    return view_for(attachment)
 
 
 def release_job(

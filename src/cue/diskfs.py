@@ -24,7 +24,8 @@ filesystems, mounts inside layer directories and renames of a layer
 root's ancestors).  A listed directory answers later listings, and
 lookups of names it lacks, from memory until an event names one of its
 entries; then its whole listing is dropped.  A view reads and rewrites
-an upper file it wrote without a lookup, unless it was removed.
+an upper file it wrote without a lookup, unless it was removed or
+replaced by a symlink.
 Writes take the same lazy layers: the model plans each write, remove or
 copy-up as a short list of edits to the upper layer (put an empty
 directory, a file or a whiteout at a path, or drop the entry there), and
@@ -560,10 +561,12 @@ class DiskOverlay:
         cached = self._file_cache.get(path)
         if cached is not None:
             # fast path: path already resolves to an upper file this view owns
-            try:
-                fd = os.open(cached, os.O_WRONLY | os.O_TRUNC | os.O_CLOEXEC)
-            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-                del self._file_cache[path]  # removed outside the view: plan the write
+            try:  # never through a symlink put there outside the view
+                fd = os.open(cached, os.O_WRONLY | os.O_TRUNC | os.O_CLOEXEC | os.O_NOFOLLOW)
+            except OSError as err:
+                if err.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP):
+                    raise
+                del self._file_cache[path]  # removed or replaced outside the view: plan the write
             else:
                 with open(fd, "wb") as fh:
                     fh.write(data)

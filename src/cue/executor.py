@@ -29,11 +29,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .diskfs import DiskOverlay
 from .errors import NotFound, PrivilegeRequired, RegistryConflict, StepFailed, WouldBlock
-from .planner import BindMode, MaskMode, SetupPlan, StepKind
+from .planner import BindMode, ContainerConfig, MaskMode, SetupPlan, StepKind
 from .registry import FileLock
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "execute",
     "teardown",
     "view_for",
+    "recorded_config",
     "load_meta",
     "meta_path",
 ]
@@ -98,12 +99,20 @@ def _exec_lock_path(upper_dir: str) -> Path:
 
 
 def view_for(meta: dict) -> DiskOverlay:
-    """Merged view of a sandbox container, from its work-dir metadata."""
-    return DiskOverlay(
-        [meta["lower"]],
-        meta["upper"],
-        masks=[tuple(m) for m in meta.get("masks", [])],
-    )
+    """The merged view a recorded description opens: a container's
+    container.json (load_meta) or a compute node's attachment.json.  Both
+    carry "lowers" (bottom first), "upper" and "masks" ([path, "empty"|"ro"])."""
+    return DiskOverlay(meta["lowers"], meta["upper"], masks=meta["masks"])
+
+
+def recorded_config(meta: dict, entry_command: Sequence[str]) -> ContainerConfig:
+    """The config a container.json records (its layers, masks, devices and
+    hostname), with a new entry command."""
+    (host_root,) = meta["lowers"]
+    masks = [(p, MaskMode.EMPTY_BIND if m == "empty" else MaskMode.READ_ONLY_REMOUNT)
+             for p, m in meta["masks"]]
+    return ContainerConfig(meta["user"], host_root, meta["upper"], meta["work"], meta["merged"],
+                           meta["hostname"], meta["devices"], masks, entry_command)
 
 
 def execute(
@@ -177,13 +186,12 @@ def execute(
             "backend": backend.value,
             "user": cfg.user,
             "hostname": cfg.hostname,
-            "lower": cfg.host_root,
+            "lowers": [cfg.host_root],
             "upper": cfg.upper_dir,
             "work": cfg.work_dir,
             "merged": cfg.merged_dir,
             "masks": [(p, "empty" if m is MaskMode.EMPTY_BIND else "ro") for p, m in cfg.mask_paths],
             "devices": [list(d) for d in cfg.device_allow],
-            "created_dirs": [str(p) for p in created],
         }
         meta_path(work).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
         if backend is Backend.KERNEL:
@@ -240,9 +248,12 @@ def _run_sandbox(plan: SetupPlan, run_entry: bool) -> tuple[list, int]:
 def load_meta(handle: str | Path) -> dict:
     path = meta_path(handle)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        meta = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise NotFound(f"no live container at {handle}") from None
+    if "lower" in meta:  # recorded before containers kept a list of lowers
+        meta["lowers"] = [meta.pop("lower")]
+    return meta
 
 
 def teardown(handle: str | Path) -> None:

@@ -63,6 +63,12 @@ class ContainerRecord:
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
 
+    @classmethod
+    def of(cls, config, **fields) -> "ContainerRecord":
+        """The record of a container planned from config (a ContainerConfig)."""
+        return cls(user=config.user, upper_dir=config.upper_dir, work_dir=config.work_dir,
+                   merged_dir=config.merged_dir, hostname=config.hostname, **fields)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 

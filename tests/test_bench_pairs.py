@@ -83,6 +83,7 @@ def test_paired_runs_and_their_summary(tool, tmp_path):
     assert record["correct"] is True
     assert record["failed"] == {"parent": 0, "change": 0}
     assert record["attempted"] == {"parent": 40, "change": 40}
+    assert record["failed_share_rose"] is False
     assert [run["first"] for run in record["runs"]] == ["parent", "change", "parent", "change"]
 
     listing = record["metrics"]["list_p50_us"]
@@ -138,3 +139,18 @@ def test_worse_than_bound_and_unresolved(tool):
     record = tool.metric_record("higher", 0.25, runs_of("throughput_ops_s", [100.0] * 3, [70.0] * 3),
                                 "throughput_ops_s")
     assert record["worse_than_bound"] is True and record["unresolved"] is False
+
+
+def test_failed_share_rose(tool):
+    def runs(failed: dict, attempted: dict) -> list[dict]:
+        return [{"seed": 1, "first": "parent", **{side: {
+            "correct": True, "failed": failed[side], "attempted": attempted[side], "metrics": {}}
+            for side in ("parent", "change")}}]
+
+    assert tool.workload_record("w", [1], None, runs({"parent": 1, "change": 2}, {"parent": 100, "change": 100}),
+                                [], None)["failed_share_rose"] is True
+    # more failures over more attempts: the same share
+    assert tool.workload_record("w", [1], None, runs({"parent": 1, "change": 2}, {"parent": 100, "change": 200}),
+                                [], None)["failed_share_rose"] is False
+    assert tool.workload_record("w", [1], None, runs({"parent": 0, "change": 0}, {"parent": 0, "change": 0}),
+                                [], None)["failed_share_rose"] is False

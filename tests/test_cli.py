@@ -113,6 +113,80 @@ class TestEnter:
         _, out, _ = run_cli(env + ["list"])
         assert "alice\tUser\tStopped" in out
 
+    def test_refused_enter_leaves_the_status(self, env, host, tmp_path):
+        # a first enter is inside: the record is Running and the upper's lock held
+        from cue.registry import FileLock, Registry
+
+        run_cli(env + ["create", "alice", "--host-root", str(host)])
+        Registry(tmp_path / "state").set_status("alice", "User", "Running")
+        upper = tmp_path / "state" / "volumes" / "user" / "alice" / "upper"
+        with FileLock(upper.parent / "upper.lock").acquire(blocking=False):
+            code, _, err = run_cli(env + ["enter", "alice", "--", "/bin/true"])
+        assert code == 12 and "upper layer" in err
+        _, out, _ = run_cli(env + ["list"])
+        assert "alice\tUser\tRunning" in out
+
+    def test_enter_replans_the_recorded_container(self, env, host, tmp_path):
+        from cue.planner import default_config, plan_create
+
+        state = str(tmp_path / "state")
+        run_cli(env + ["create", "alice", "--hostname", "box", "--host-root", str(host)])
+        assert run_cli(env + ["enter", "alice", "--", "/bin/true"])[0] == 0
+        work = tmp_path / "state" / "volumes" / "user" / "alice" / "work"
+        steps = [line.split(" -> ")[0] for line in (work / "transcript.txt").read_text().splitlines()]
+        plan = plan_create(default_config("alice", state_root=state, host_root=str(host), hostname="box",
+                                          entry_command=("/bin/true",)))
+        assert steps == plan.serialize().splitlines()
+        meta = json.loads((work / "container.json").read_text())
+        assert meta["lowers"] == [str(host)] and "lower" not in meta and "created_dirs" not in meta
+        # the recorded devices, not the defaults
+        meta["devices"] = [["/dev/null", "rw"]]
+        (work / "container.json").write_text(json.dumps(meta))
+        assert run_cli(env + ["enter", "alice", "--", "/bin/true"])[0] == 0
+        binds = [line for line in (work / "transcript.txt").read_text().splitlines() if " BIND_MOUNT /dev/" in line]
+        assert len(binds) == 1 and " /dev/null " in binds[0]
+
+    def test_enter_after_login_uses_the_shared_upper(self, env, host, tmp_path):
+        from cue.cluster import NodeHandle, SharedLayout, attach_login
+        from cue.registry import Registry
+
+        shared = SharedLayout(tmp_path / "state" / "shared")
+        attach_login("alice", NodeHandle("login-0", host), shared=shared, registry=Registry(tmp_path / "state"))
+        code, _, _ = run_cli(env + ["enter", "alice", "--", "/bin/true"])
+        assert code == 0
+        assert not (tmp_path / "state" / "volumes" / "user" / "alice").exists()
+        transcript = (shared.work("alice") / "transcript.txt").read_text()
+        assert f" OVERLAY_MOUNT {host} {shared.upper('alice')} " in transcript
+        assert " EXEC /bin/true -> OK" in transcript
+
+    @pytest.mark.parametrize("root_sandbox", [False, True])
+    def test_container_json_of_the_earlier_format_enters_and_commits(self, env, host, tmp_path, root_sandbox):
+        # before containers recorded a list of lowers: "lower" and "created_dirs"
+        from cue.executor import load_meta, view_for
+
+        volumes = tmp_path / "state" / "volumes"
+        if root_sandbox:
+            work, target = volumes / "rootsandbox" / "root-sandbox" / "work", ["--root-sandbox", "root-sandbox"]
+        else:
+            work, target = volumes / "user" / "alice" / "work", ["alice"]
+
+        def as_before():
+            meta = json.loads((work / "container.json").read_text())
+            meta["lower"] = meta.pop("lowers")[0]
+            meta["created_dirs"] = []
+            (work / "container.json").write_text(json.dumps(meta))
+
+        run_cli(env + ["create", *target[:1], "--host-root", str(host)])
+        as_before()
+        assert run_cli(env + ["enter", *target, "--", "/bin/true"])[0] == 0
+        assert json.loads((work / "container.json").read_text())["lowers"] == [str(host)]
+        assert f" OVERLAY_MOUNT {host} " in (work / "transcript.txt").read_text()
+        as_before()
+        view_for(load_meta(work)).write_file("/etc/new.conf", b"v1")
+        if root_sandbox:
+            assert run_cli(env + ["commit", "--sandbox-of-root"])[0] == 0
+            assert (host / "etc" / "new.conf").read_bytes() == b"v1"
+
 
 class TestCommitFlow:
     def test_commit_without_sandbox(self, env):

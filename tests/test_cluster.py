@@ -142,6 +142,28 @@ class TestDeployJob:
             outcomes = {v.resolve(path).outcome for v in views}
             assert len(outcomes) == 1, path
 
+    def test_node_view_applies_recorded_masks(self, world):
+        shared, registry, computes, _ = self.deploy_with_customization(world)
+        # a copy of the state root's path under a compute node's root
+        twin = computes[0].node_root / str(registry.state_root).lstrip("/")
+        twin.mkdir(parents=True)
+        (twin / "secret.json").write_bytes(b"{}")
+        state = str(registry.state_root)
+        attachment = cluster._deploy_dir(registry.state_root, "alice", computes[0].node_id) / "attachment.json"
+        recorded = view_for(json.loads(attachment.read_text()))
+        view = cluster.node_view("alice", computes[0], registry=registry)
+        assert recorded.list_dir(state) == view.list_dir(state) == []
+        assert not view.resolve(state + "/secret.json").found
+
+    def test_attachment_has_the_container_json_keys(self, world):
+        shared, registry, computes, _ = self.deploy_with_customization(world)
+        deploy = cluster._deploy_dir(registry.state_root, "alice", computes[0].node_id)
+        attachment = json.loads((deploy / "attachment.json").read_text())
+        assert attachment["lowers"] == [str(computes[0].node_root), str(shared.upper("alice"))]
+        assert attachment["upper"] == str(deploy / "scratch")
+        assert attachment["masks"] == [[str(registry.state_root), "empty"]]
+        assert set(load_meta(shared.work("alice"))) >= {"lowers", "upper", "masks"}
+
     def test_attachment_copies_no_upper_bytes(self, world):
         shared, registry, computes, _ = self.deploy_with_customization(world)
         for node in computes:

@@ -546,6 +546,19 @@ class TestUpperFileRemovedOutsideView:
         assert (upper / "d" / "g").read_bytes() == b"again"
         assert fresh().read_file("/d/g") == b"again"
 
+    def test_write_never_goes_through_a_symlink_put_there(self, layers, tmp_path):
+        lower, upper = layers
+        outside = tmp_path / "outside"
+        outside.write_bytes(b"not yours")
+        view = DiskOverlay([lower], upper)
+        view.write_file("/x", b"mine")
+        (upper / "x").unlink()
+        (upper / "x").symlink_to(outside)
+        view.write_file("/x", b"again")
+        assert outside.read_bytes() == b"not yours"
+        assert not (upper / "x").is_symlink() and (upper / "x").read_bytes() == b"again"
+        assert DiskOverlay([lower], upper).read_file("/x") == b"again"
+
 
 def uncached(call):
     """call() with every lookup read from disk, the entry cache bypassed."""

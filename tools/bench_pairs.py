@@ -21,8 +21,10 @@ than the parent's q3 - q1.  Two more flags use the metric's bound:
 worse_than_bound (the change's median is worse than the parent's by more
 than the bound) and unresolved (the parent's q3 - q1 over its median
 exceeds the bound, and not every change run beats every parent run); each
-flagged metric is printed after its RUN.  The file is rewritten after
-every pair, and a record of another label already in it is kept.
+flagged metric is printed after its RUN, and so is failed_share_rose: the
+change's failed / attempted operations exceed the parent's.  The file is
+rewritten after every pair, and a record of another label already in it
+is kept.
 Standard library only.
 """
 
@@ -128,14 +130,18 @@ def metric_record(better: str, bound: float, runs: list[dict], name: str) -> dic
 
 def workload_record(workload: str, seeds: list[int], units: int | None, runs: list[dict],
                     end_to_end: list[dict], counters: dict | None) -> dict:
+    failed = {side: sum(run[side]["failed"] for run in runs) for side in SIDES}
+    attempted = {side: sum(run[side]["attempted"] for run in runs) for side in SIDES}
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
     return {
         "workload": workload,
         "seeds": seeds[: len(runs)],
         "units": units,
         "pairs": len(runs),
         "correct": all(run[side]["correct"] for run in runs for side in SIDES),
-        "failed": {side: sum(run[side]["failed"] for run in runs) for side in SIDES},
-        "attempted": {side: sum(run[side]["attempted"] for run in runs) for side in SIDES},
+        "failed": failed,
+        "attempted": attempted,
+        "failed_share_rose": share["change"] > share["parent"],
         "metrics": {m["name"]: metric_record(m["better"], m["bound"], runs, m["name"]) for m in end_to_end},
         "cache_counters": counters,
         "runs": [
@@ -186,6 +192,9 @@ def main(argv=None) -> int:
         counters = {side: counters_once(checkouts[side], [*common, "--seed", str(seeds[0])]) for side in SIDES}
         records[label] = workload_record(workload, seeds, units, runs, spec["end_to_end"], counters)
         args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+        if records[label]["failed_share_rose"]:
+            print(f"{label}: failed_share_rose: failed {records[label]['failed']} of attempted "
+                  f"{records[label]['attempted']}", flush=True)
         for name, metric in records[label]["metrics"].items():
             for flag in ("worse_than_bound", "unresolved"):
                 if metric[flag]:
