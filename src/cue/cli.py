@@ -312,24 +312,26 @@ def cmd_deploy(args) -> int:
         pre_hook=args.pre_hook,
         post_hook=args.post_hook,
     )
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        for node in result.per_node:
-            detail = f" ({node.detail})" if node.detail else ""
-            print(f"{node.node_id} {node.status}{detail} [{node.elapsed_us} us]")
+    _print_nodes(result, args.format)
     return 11 if any(n.status == "Failed" for n in result.per_node) else 0
+
+
+def _print_nodes(result: cluster_mod.DeploymentResult, fmt: str) -> None:
+    if fmt == "json":
+        print(result.to_json())
+        return
+    for node in result.per_node:
+        detail = f" ({node.detail})" if node.detail else ""
+        print(f"{node.node_id} {node.status}{detail} [{node.elapsed_us} us]")
 
 
 def cmd_release(args) -> int:
     registry = Registry(_state_root(args))
     nodes = cluster_mod.load_manifest(args.nodes)
     result = cluster_mod.release_job(args.user, nodes, registry=registry)
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        for node in result.per_node:
-            print(f"{node.node_id} {node.status} [{node.elapsed_us} us]")
+    _print_nodes(result, args.format)
+    if any(n.status == "Failed" for n in result.per_node):
+        return 11
     return 3 if any(n.status == "NotFound" for n in result.per_node) else 0
 
 

@@ -10,7 +10,10 @@ the same as deploying a 1 MiB one.
 Every view is opened by executor.view_for from a description in one
 format: a login's container.json (which `cue enter` re-plans), and each
 compute node's attachment.json, whose "lowers" are the node root and the
-shared upper, "upper" the node's scratch, and "masks" the state root's.
+shared upper, "upper" the node's scratch, and "masks" the state root's
+and the shared root's.  Both views mask the shared root: it holds every
+user's upper, and on a node whose root is "/" it would show at its own
+path.
 
 Desk scale: a "node" is any directory standing in for a node's "/",
 declared in a nodes.json manifest ([{"node_id": ..., "node_root": ...}]).
@@ -154,7 +157,10 @@ def attach_login(
         upper_dir=str(shared.upper(user)),
         work_dir=str(shared.work(user)),
         merged_dir=str(merged),
-        mask_paths=((str(registry.state_root), MaskMode.EMPTY_BIND),),
+        mask_paths=(
+            (str(registry.state_root), MaskMode.EMPTY_BIND),
+            (str(shared.shared_root), MaskMode.EMPTY_BIND),  # every user's upper
+        ),
     )
     with registry.acquire_record_lock(user, "User", blocking=True):
         execute(plan_create(config), backend)
@@ -213,7 +219,7 @@ def deploy_job(
                 "lowers": [str(node.node_root), str(upper)],
                 "upper": str(deploy / "scratch"),
                 "merged": str(deploy / "merged"),
-                "masks": [(str(registry.state_root), "empty")],
+                "masks": [(str(registry.state_root), "empty"), (str(shared.shared_root), "empty")],
             }
             (deploy / "attachment.json").write_text(
                 json.dumps(attachment, indent=2) + "\n", encoding="utf-8"
@@ -232,7 +238,8 @@ def deploy_job(
 def node_view(user: str, node: NodeHandle, *, registry: Registry) -> DiskOverlay:
     """Merged view on a compute node, opened by executor.view_for from the
     node's attachment.json: node root, then the user's shared upper
-    (read-only), then the node's scratch on top, with the state root masked."""
+    (read-only), then the node's scratch on top, with the state root and the
+    shared root masked."""
     path = _deploy_dir(registry.state_root, user, node.node_id) / "attachment.json"
     try:
         attachment = json.loads(path.read_text(encoding="utf-8"))
@@ -247,7 +254,9 @@ def release_job(
     *,
     registry: Registry,
 ) -> DeploymentResult:
-    """Tear down per-node attachments; the shared upper is untouched."""
+    """Tear down per-node attachments; the shared upper is untouched.  A node
+    whose deploy directory cannot be removed reports Failed with the error,
+    and the other nodes are still released."""
     statuses: list[NodeStatus] = []
     for node in nodes:
         t0 = _now_us()
@@ -255,6 +264,10 @@ def release_job(
         if not (deploy / "attachment.json").exists():
             statuses.append(NodeStatus(node.node_id, "NotFound", elapsed_us=_now_us() - t0))
             continue
-        shutil.rmtree(deploy, ignore_errors=True)
+        try:
+            shutil.rmtree(deploy)
+        except OSError as err:  # per-node isolation, as in deploy_job
+            statuses.append(NodeStatus(node.node_id, "Failed", str(err), _now_us() - t0))
+            continue
         statuses.append(NodeStatus(node.node_id, "Released", elapsed_us=_now_us() - t0))
     return DeploymentResult(per_node=tuple(statuses))

@@ -26,6 +26,20 @@ lookups of names it lacks, from memory until an event names one of its
 entries; then its whole listing is dropped.  A view reads and rewrites
 an upper file it wrote without a lookup, unless it was removed or
 replaced by a symlink.
+
+A view over two or more lowers (a compute node's) resolves a path its
+top layer is transparent along (model.lookup's rule) through a memo of
+lookups through its lower stack, shared by every view with the same
+lowers.  Each memoized lower root has a generation, and each memo entry
+holds its roots' generations when it was stored: an event in any
+directory under a root bumps its generation, a queue overflow or a fork
+drops the memo, and a lookup that read a directory outside the cache (it
+could not be watched) is never stored.  The memo keeps at most _MEMO_MAX
+entries, oldest out first; an eviction from the entry cache, if one is
+ever added, must bump the generations of the roots it evicts under, or
+the memo would outlive the events it relies on.  Over one lower the memo
+key costs as much as the walk, so those views walk.  Writes, removes and
+listings always walk.
 Writes take the same lazy layers: the model plans each write, remove or
 copy-up as a short list of edits to the upper layer (put an empty
 directory, a file or a whiteout at a path, or drop the entry there), and
@@ -36,6 +50,7 @@ from __future__ import annotations
 
 import bisect
 import errno
+import functools
 import itertools
 import os
 import select
@@ -98,7 +113,11 @@ def _exists(real: str) -> Optional[bool]:
 # IN_MOVE_SELF | IN_ONLYDIR (inotify(7)): any change to a directory's entries or itself
 _WATCH_MASK = 0x4 | 0x40 | 0x80 | 0x100 | 0x200 | 0x400 | 0x800 | 0x1000000
 _IN_Q_OVERFLOW, _IN_IGNORED, _IN_ISDIR = 0x4000, 0x8000, 0x40000000
-_COUNTERS = ("hits", "misses", "listing_hits", "listing_misses", "watches", "watch_failures", "events", "subtree_drops")
+_COUNTERS = (
+    "hits", "misses", "listing_hits", "listing_misses", "lookup_hits", "lookup_misses",
+    "watches", "watch_failures", "events", "subtree_drops",
+)
+_MEMO_MAX = 512  # memoized lookups; one cluster job's working set is about 50
 _MISS = object()
 _COMPLETE = ""  # no entry has this name: its key marks a directory's cached names as its whole listing
 
@@ -114,7 +133,16 @@ class _EntryCache:
         self.dirs: dict[tuple[str, bool], tuple[int, dict[str, Any]]] = {}
         self.keys: dict[int, set[tuple[str, bool]]] = {}  # wd -> the keys it serves
         self.order: list[tuple[str, bool]] = []  # the keys of dirs, sorted: a subtree is a slice
+        # (lower-root prefixes, path components) -> (Resolution through those lowers,
+        # the roots' generations when it was stored), oldest first
+        self.memo: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[Resolution, tuple[int, ...]]] = {}
+        self.gens: dict[str, int] = {}  # root prefix -> its generation, for roots memoized since their last event
+        self.root_entries: dict[str, int] = {}  # root prefix -> the memo entries through it
+        self.memo_roots: tuple[str, ...] = ()  # the keys of gens: one startswith per event key
+        self.generation = 0  # the last generation handed out; none is handed out twice
+        self.unwatched = 0  # child lookups and opaque flags read outside the cache
         self.hits = self.misses = self.listing_hits = self.listing_misses = 0
+        self.lookup_hits = self.lookup_misses = 0
         self.watches = self.watch_failures = self.events = self.subtree_drops = 0
 
     def reset(self) -> None:
@@ -125,6 +153,13 @@ class _EntryCache:
         self.dirs.clear()
         self.keys.clear()
         self.order.clear()
+        self._forget_memo()
+
+    def _forget_memo(self) -> None:
+        self.memo.clear()
+        self.gens.clear()
+        self.root_entries.clear()
+        self.memo_roots = ()
 
     def of(self, key: tuple[str, bool]) -> Optional[dict[str, Any]]:
         """A directory's cache, watched first if new; None if it cannot be watched."""
@@ -173,6 +208,8 @@ class _EntryCache:
                     self.subtree_drops += 1
                     return self.reset()
                 for prefix, aware in self.keys.pop(wd, ()) if mask & _IN_IGNORED else self.keys.get(wd, ()):
+                    if prefix.startswith(self.memo_roots):
+                        self._stale(prefix)
                     if not name:  # the directory itself
                         doomed.append(prefix)
                         continue
@@ -188,10 +225,64 @@ class _EntryCache:
             if doomed:
                 self._drop(tuple(doomed))
 
+    def _stale(self, prefix: str) -> None:
+        """Bump the generation of each memoized root at, above or below a
+        changed or dropped directory: its generation is dropped, and a later
+        store hands out a new one, so every memo entry stamped with the old
+        one is stale."""
+        for root in self.memo_roots:
+            if prefix.startswith(root) or root.startswith(prefix):
+                del self.gens[root]
+        self.memo_roots = tuple(self.gens)
+
+    def resolved(self, roots: tuple[str, ...], layers: Sequence[Directory], parts: tuple[str, ...]) -> Resolution:
+        """model.lookup(layers, parts) through lower layer directories whose
+        prefixes are roots: from the memo while no event has named a
+        directory under any of those roots since the entry was stored.  A
+        lookup that read anything outside the cache is not stored: no event
+        would tell of its change."""
+        key = (roots, parts)
+        held = self.memo.get(key)
+        if held is not None and held[1] == tuple(map(self.gens.get, roots)):
+            self.lookup_hits += 1
+            return held[0]
+        self.lookup_misses += 1
+        unwatched = self.unwatched
+        res = model.lookup(layers, parts)
+        if self.unwatched == unwatched:
+            self._store(key, res)
+        return res
+
+    def _store(self, key: tuple[tuple[str, ...], tuple[str, ...]], res: Resolution) -> None:
+        """Memoize res as the newest entry, stamped with its roots' generations,
+        a new one for each root without; past _MEMO_MAX the oldest goes."""
+        memo, gens, entries = self.memo, self.gens, self.root_entries
+        roots = key[0]
+        if memo.pop(key, None) is None:
+            while len(memo) >= _MEMO_MAX:
+                oldest = next(iter(memo))
+                del memo[oldest]
+                for root in oldest[0]:
+                    entries[root] -= 1
+                    if not entries[root]:  # no entry left to stamp: its generation goes
+                        del entries[root]
+                        gens.pop(root, None)
+            for root in roots:
+                entries[root] = entries.get(root, 0) + 1
+        for root in roots:
+            if root not in gens:
+                self.generation += 1
+                gens[root] = self.generation
+        self.memo_roots = tuple(gens)
+        memo[key] = (res, tuple(map(gens.get, roots)))
+
     def _drop(self, prefixes: tuple[str, ...]) -> None:
-        """Drop every cached directory under prefixes, and watches left idle."""
+        """Drop every cached directory under prefixes, and watches left idle;
+        a memoized root below one of them goes stale, as its watch may go."""
         self.subtree_drops += len(prefixes)
         for prefix in prefixes:  # every key below prefix ("x/") sorts before "x0"
+            if self.memo_roots:
+                self._stale(prefix)
             lo = bisect.bisect_left(self.order, (prefix,))
             hi = bisect.bisect_left(self.order, (prefix[:-1] + "0",), lo)
             for key in self.order[lo:hi]:
@@ -211,8 +302,9 @@ os.register_at_fork(after_in_child=_CACHE.reset)
 
 def cache_counters() -> dict[str, int]:
     """Lookups (child entries, opaque flags) and listings answered from the entry
-    cache and from disk, directories watched and not, inotify events drained,
-    subtrees dropped."""
+    cache and from disk, path lookups through a shared lower stack answered
+    from the memo and walked, directories watched and not, inotify events
+    drained, subtrees dropped."""
     return {name: getattr(_CACHE, name) for name in _COUNTERS}
 
 
@@ -265,6 +357,8 @@ class _LayerEntries(Mapping):
             node = _LayerDir(real, self.marker_aware) if stat_m.S_ISDIR(mode) else _SHAPES.get(stat_m.S_IFMT(mode))
         if cached is not None:
             cached[name] = node
+        else:
+            cache.unwatched += 1
         return default if node is None else node
 
     def __getitem__(self, name: str) -> Node:
@@ -349,7 +443,9 @@ class _LayerDir(Directory):
             return opaque
         cache.misses += 1
         opaque = _exists(entries.prefix + OPAQUE_MARKER)
-        if cached is not None and opaque is not None:
+        if cached is None:
+            cache.unwatched += 1
+        elif opaque is not None:
             cached[OPAQUE_MARKER] = opaque
         return bool(opaque)
 
@@ -362,9 +458,23 @@ def _plain(node: Node, real: str, *, content: bool = False) -> Node:
     if isinstance(node, Symlink):
         return Symlink(os.readlink(real))
     if isinstance(node, RegularFile) and content:
-        with open(real, "rb") as fh:
-            return RegularFile(fh.read())
+        return RegularFile(_read_all(real))
     return node
+
+
+def _read_all(real: str | Path) -> bytes:
+    """A file's bytes from one open, one fstat and reads until EOF; unlike
+    open().read(), no isatty ioctl, no second fstat, no buffer objects."""
+    fd = os.open(real, os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        left = os.fstat(fd).st_size + 1  # the whole file in one read, then EOF
+        chunks = []
+        while chunk := os.read(fd, left):  # one read returns at most about 2 GiB
+            chunks.append(chunk)
+            left = max(left - len(chunk), 1)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 def layer_root(root: str | Path, *, marker_aware: bool = True) -> Directory:
@@ -470,6 +580,13 @@ class DiskOverlay:
         self._layers = [_LayerDir(root, i > 0) for i, root in enumerate(self._roots)]
         # upper files this view wrote or opened for update: read and rewritten without a lookup
         self._file_cache: dict[str, Path] = {}
+        # over two or more lowers (a node view), a path the top layer is transparent
+        # along resolves through the shared memo of the lower stack; over one lower,
+        # the memo's key would cost as much as the walk it saves
+        self._below = None
+        if len(self.lowers) > 1:
+            lowers = self._layers[:-1]
+            self._below = functools.partial(_CACHE.resolved, tuple(d.children.prefix for d in lowers), lowers)
 
     # -- masks ------------------------------------------------------------
 
@@ -494,7 +611,7 @@ class DiskOverlay:
 
     def _found(self, parts: tuple[str, ...]) -> Resolution:
         """Resolution of a split path that must exist in the view."""
-        res = model.lookup(self._layers, parts)
+        res = model.lookup(self._layers, parts, self._below)
         if not res.found:
             kind = HiddenPath if res.outcome is ResolutionKind.HIDDEN else AbsentPath
             raise kind(model.join_path(parts))
@@ -510,7 +627,7 @@ class DiskOverlay:
             if path == mask[0]:
                 return Resolution(ResolutionKind.FOUND_UPPER, Directory(children={}))
             return Resolution(ResolutionKind.ABSENT)
-        res = model.lookup(self._layers, parts)
+        res = model.lookup(self._layers, parts, self._below)
         if not res.found:
             return res
         real = self._real(res.layer, parts)  # type: ignore[arg-type]
@@ -537,12 +654,10 @@ class DiskOverlay:
         cached = self._file_cache.get(path)
         if cached is not None:
             try:
-                with open(cached, "rb") as fh:
-                    return fh.read()
+                return _read_all(cached)
             except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
                 del self._file_cache[path]  # removed outside the view: look it up
-        with open(self._backing(path), "rb") as fh:
-            return fh.read()
+        return _read_all(self._backing(path))
 
     def list_dir(self, path: str) -> list[tuple[str, Origin]]:
         _CACHE.drain()

@@ -10,10 +10,13 @@ the layers below them.
 Everything here is a value transformation that never touches the host
 filesystem, so the runtime's semantics can be exercised and
 property-tested without any privilege.  Resolution is dynamic (nothing is
-cached), so an updated lower tree is visible to the next lookup by
-construction.  lookup, merged_listing, plan_write, plan_remove and
-stage_merge take the layers' root directories instead of a stack, which
-is how the disk view and the commit feed them lazily read layers.
+cached here), so an updated lower tree is visible to the next lookup by
+construction; lookup states when a path resolves as through the layers
+below the top, so a caller may keep those resolutions, and must forget
+them when a lower layer changes.  lookup, merged_listing, plan_write,
+plan_remove and stage_merge take the layers' root directories instead of
+a stack, which is how the disk view and the commit feed them lazily read
+layers.
 
 Every change is planned as one kind of list, the Edit list: drop an
 entry, make sure a plain directory is there, or put a file, symlink or
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AbsentParent,
@@ -334,10 +337,46 @@ def _walk(layers: Sequence[Directory], parts: tuple[str, ...]):
     return Resolution(kind, node, origin), trail
 
 
-def lookup(layers: Sequence[Directory], path: str | tuple[str, ...]) -> Resolution:
+def lookup(
+    layers: Sequence[Directory],
+    path: str | tuple[str, ...],
+    below: Optional[Callable[[tuple[str, ...]], Resolution]] = None,
+) -> Resolution:
     """Resolve path (a normalized path, or its split_path components)
-    through layer root directories, bottom first."""
-    return _walk(layers, path if isinstance(path, tuple) else split_path(path))[0]
+    through layer root directories, bottom first.
+
+    Where the top layer is transparent along the path (its root is not
+    opaque, and its entries along the path are non-opaque directories up
+    to a missing one), it neither supplies, cuts nor shadows anything
+    there, so the path resolves as through layers[:-1], with FOUND_UPPER
+    (supplied by layers[-2]) relabelled FOUND_LOWER.  below, if given, is
+    asked for that resolution through layers[:-1] (split components in)
+    and is called only then: a caller that keeps resolutions through a
+    shared lower stack (the disk view's memo) reads the top layer only.
+    """
+    parts = path if isinstance(path, tuple) else split_path(path)
+    if below is not None and _transparent(layers[-1], parts):
+        res = below(parts)
+        if res.outcome is ResolutionKind.FOUND_UPPER:
+            return Resolution(ResolutionKind.FOUND_LOWER, res.node, res.layer)
+        return res
+    return _walk(layers, parts)[0]
+
+
+def _transparent(top: Directory, parts: tuple[str, ...]) -> bool:
+    """Whether a top layer holds, along parts, only non-opaque directories
+    up to a missing entry (so nothing of it shows at parts or cuts below)."""
+    if top.opaque:
+        return False
+    node = top
+    for name in parts:
+        child = node.children.get(name)
+        if child is None:
+            return True
+        if not isinstance(child, Directory) or child.opaque:
+            return False
+        node = child
+    return False
 
 
 def merged_listing(layers: Sequence[Directory], path: str | tuple[str, ...]) -> list[tuple[str, Origin]]:

@@ -101,20 +101,22 @@ def random_upper(rng: random.Random, *below: LayerTree, max_depth: int = 6, node
 
 
 def random_stack(seed: int, max_depth: int = 6, node_budget: int = 100) -> LayerStack:
-    rng = random.Random(seed)
-    lower = random_lower(rng, max_depth, node_budget)
-    upper = random_upper(rng, lower, max_depth=max_depth, node_budget=node_budget)
-    return LayerStack(lower=lower, upper=upper)
+    return random_stack_n(seed, 2, max_depth, node_budget)
 
 
 def random_stack3(seed: int, max_depth: int = 6, node_budget: int = 100) -> LayerStack:
     """A node view's three layers: a base, a middle delta carrying
     whiteouts and opaque dirs (a user's shared upper), a scratch top."""
+    return random_stack_n(seed, 3, max_depth, node_budget)
+
+
+def random_stack_n(seed: int, n: int, max_depth: int = 6, node_budget: int = 100) -> LayerStack:
+    """n layers: a base, then n - 1 deltas, each drawn over the layers below it."""
     rng = random.Random(seed)
-    lower = random_lower(rng, max_depth, node_budget)
-    middle = random_upper(rng, lower, max_depth=max_depth, node_budget=node_budget)
-    upper = random_upper(rng, lower, middle, max_depth=max_depth, node_budget=node_budget)
-    return LayerStack(lower=lower, upper=upper, middle=(middle,))
+    layers = [random_lower(rng, max_depth, node_budget)]
+    for _ in range(n - 1):
+        layers.append(random_upper(rng, *layers, max_depth=max_depth, node_budget=node_budget))
+    return LayerStack(lower=layers[0], upper=layers[-1], middle=tuple(layers[1:-1]))
 
 
 def probe_paths(stack: LayerStack) -> list[str]:

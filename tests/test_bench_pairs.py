@@ -33,7 +33,7 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
 
 STUB_DISKFS = """
 def cache_counters():
-    return {"hits": 3, "misses": 1, "listing_hits": 1, "listing_misses": 1}
+    return {"hits": 3, "misses": 1, "listing_hits": 1, "listing_misses": 1, "lookup_hits": 7, "lookup_misses": 1}
 """
 
 SPEC = {"end_to_end": [
@@ -101,11 +101,18 @@ def test_paired_runs_and_their_summary(tool, tmp_path):
 
     assert record["cache_counters"]["parent"] is None
     assert record["cache_counters"]["change"] == {
-        "hits": 3, "misses": 1, "listing_hits": 1, "listing_misses": 1, "hit_ratio": 0.75, "listing_hit_ratio": 0.5,
+        "hits": 3, "misses": 1, "listing_hits": 1, "listing_misses": 1, "lookup_hits": 7, "lookup_misses": 1,
+        "hit_ratio": 0.75, "listing_hit_ratio": 0.5, "lookup_hit_ratio": 0.875,
     }
     units = bench["workloads"]["units"]
     assert units["units"] == 400 and units["pairs"] == 1
     assert units["metrics"]["list_p50_us"]["parent"] == {"median": 107.0, "q1": 107.0, "q3": 107.0}
+
+
+def test_hit_ratio_of_every_pair(tool):
+    counters = {"hits": 1, "misses": 3, "new_hits": 2, "new_misses": 0, "idle_hits": 0, "idle_misses": 0,
+                "lone_hits": 5, "watches": 4}
+    assert tool.with_hit_ratios(counters) == {**counters, "hit_ratio": 0.25, "new_hit_ratio": 1.0}
 
 
 def test_run_specs(tool):

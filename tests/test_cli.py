@@ -372,6 +372,20 @@ class TestDeployRelease:
         assert out.count("NotFound") == 4
 
 
+    def test_release_failure_exit_code(self, cluster_env, monkeypatch):
+        argv, manifest = cluster_env
+        run_cli(argv + ["deploy", "alice", "--nodes", str(manifest)])
+        from cue import cluster
+
+        def refusing(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cluster.shutil, "rmtree", refusing)
+        code, out, _ = run_cli(argv + ["release", "alice", "--nodes", str(manifest)])
+        assert code == 11
+        assert out.count("Failed (") == 4 and "Permission denied" in out
+
+
 class TestPolicyDump:
     def test_matches_frozen_table(self):
         code, out, _ = run_cli(["policy", "dump"])

@@ -5,7 +5,7 @@ import pytest
 
 from cue import cluster
 from cue.cluster import NodeHandle, SharedLayout, attach_login, deploy_job, release_job
-from cue.errors import InvalidConfig, NotFound
+from cue.errors import AbsentPath, InvalidConfig, NotFound
 from cue.executor import load_meta, view_for
 from cue.model import ResolutionKind
 from cue.registry import Registry
@@ -161,8 +161,28 @@ class TestDeployJob:
         attachment = json.loads((deploy / "attachment.json").read_text())
         assert attachment["lowers"] == [str(computes[0].node_root), str(shared.upper("alice"))]
         assert attachment["upper"] == str(deploy / "scratch")
-        assert attachment["masks"] == [[str(registry.state_root), "empty"]]
+        assert attachment["masks"] == [[str(registry.state_root), "empty"], [str(shared.shared_root), "empty"]]
         assert set(load_meta(shared.work("alice"))) >= {"lowers", "upper", "masks"}
+
+    def test_views_mask_the_shared_root(self, world):
+        shared, registry, login, computes = world
+        shared.ensure_user("bob")
+        attach_login("alice", login, shared=shared, registry=registry)
+        deploy_job("alice", computes[:1], shared=shared, registry=registry)
+        # a copy of bob's upper at its own path under each node's root, as
+        # shared storage shows on a node whose root is "/"
+        bob = str(shared.upper("bob"))
+        for node in (login, computes[0]):
+            twin = node.node_root / bob.lstrip("/")
+            twin.mkdir(parents=True)
+            (twin / "bob-secret").write_bytes(b"bob's")
+        views = [cluster.login_view("alice", login, shared=shared),
+                 cluster.node_view("alice", computes[0], registry=registry)]
+        for view in views:
+            assert view.list_dir(str(shared.shared_root)) == []
+            assert not view.resolve(bob + "/bob-secret").found
+            with pytest.raises(AbsentPath):
+                view.read_file(bob + "/bob-secret")
 
     def test_attachment_copies_no_upper_bytes(self, world):
         shared, registry, computes, _ = self.deploy_with_customization(world)
@@ -185,6 +205,24 @@ class TestReleaseJob:
         for node in computes:
             with pytest.raises(NotFound):
                 cluster.node_view("alice", node, registry=registry)
+
+    def test_failed_removal_is_reported(self, world, monkeypatch):
+        shared, registry, login, computes = world
+        attach_login("alice", login, shared=shared, registry=registry)
+        deploy_job("alice", computes, shared=shared, registry=registry)
+        stuck = cluster._deploy_dir(registry.state_root, "alice", computes[1].node_id)
+        rmtree = cluster.shutil.rmtree
+
+        def refusing(path, *args, **kwargs):
+            if path == stuck:
+                raise PermissionError(13, "Permission denied", str(path))
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.shutil, "rmtree", refusing)
+        result = release_job("alice", computes, registry=registry)
+        assert [n.status for n in result.per_node] == ["Released", "Failed", "Released", "Released"]
+        assert "Permission denied" in result.per_node[1].detail
+        assert (stuck / "attachment.json").exists()
 
     def test_release_unknown_node(self, world, tmp_path):
         shared, registry, login, computes = world

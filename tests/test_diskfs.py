@@ -561,12 +561,16 @@ class TestUpperFileRemovedOutsideView:
 
 
 def uncached(call):
-    """call() with every lookup read from disk, the entry cache bypassed."""
-    diskfs._CACHE.of = lambda key: None
+    """call() with every lookup read from disk, the entry cache and its memo
+    of lookups through lower stacks bypassed."""
+    cache = diskfs._CACHE
+    cache.of = lambda key: None
+    memo, cache.memo = cache.memo, {}
     try:
         return call()
     finally:
-        del diskfs._CACHE.of
+        del cache.of
+        cache.memo = memo
 
 
 def disk_layers(roots):
@@ -917,18 +921,219 @@ class TestEntryCacheCoherence:
         (lower / "d" / "f").write_bytes(b"f")
         view = DiskOverlay([lower], upper)
         assert view.resolve("/d/g").outcome is ResolutionKind.ABSENT
-        with open("/proc/sys/fs/inotify/max_queued_events") as fh:
-            limit = int(fh.read())
-        if limit > 65536:
-            pytest.skip(f"overflowing a {limit}-event inotify queue takes too many files")
-        for i in range(limit + 1):  # one event each, more than the queue holds
-            (lower / "d" / f"n{i}").touch()
+        overflow_queue(lower / "d")
         (lower / "d" / "f").unlink()
         (lower / "d" / "g").write_bytes(b"g")
         drops = diskfs.cache_counters()["subtree_drops"]
         assert view.resolve("/d/f").outcome is ResolutionKind.ABSENT
         assert view.read_file("/d/g") == b"g"
         assert diskfs.cache_counters()["subtree_drops"] > drops
+
+
+def overflow_queue(directory) -> None:
+    """Queue more inotify events than the queue holds, from one watched directory."""
+    with open("/proc/sys/fs/inotify/max_queued_events") as fh:
+        limit = int(fh.read())
+    if limit > 65536:
+        pytest.skip(f"overflowing a {limit}-event inotify queue takes too many files")
+    for i in range(limit + 1):  # one event each, more than the queue holds
+        (directory / f"n{i}").touch()
+
+
+def node_stacks(tmp_path, seed: int):
+    """The base and shared delta of a seeded node stack under two scratch
+    tops, one empty: the layer directories of two node views, bottom first."""
+    stack = stackgen.random_stack3(seed, node_budget=25)
+    root = tmp_path / f"nodes-{seed}"
+    base, shared, top_a, top_b = (root / n for n in ("base", "shared", "scratch-a", "scratch-b"))
+    store_tree(stack.lower, base, marker_aware=False)
+    store_tree(stack.middle[0], shared)
+    store_tree(stack.upper, top_a)
+    top_b.mkdir()
+    return [base, shared, top_a], [base, shared, top_b]
+
+
+def three_layers(tmp_path):
+    roots = [tmp_path / n for n in ("lower", "middle", "upper")]
+    for root in roots:
+        root.mkdir()
+    return roots
+
+
+def memoized(roots) -> set:
+    """The paths the memo holds through lower layer directories roots."""
+    prefixes = tuple(os.path.join(str(r), "") for r in roots)
+    return {parts for (held, parts) in diskfs._CACHE.memo if held == prefixes}
+
+
+class TestLowerStackMemo:
+    """Views over the same two or more lowers resolve a path their top is
+    transparent along through one shared memo; every change to any layer
+    still shows in their next lookup."""
+
+    def test_each_change_through_two_node_views(self, tmp_path):
+        before = diskfs.cache_counters()
+        applied = set()
+        for seed in range(3):
+            stacks = node_stacks(tmp_path, seed)
+            views = [DiskOverlay(roots[:-1], roots[-1]) for roots in stacks]
+            layers = [*stacks[0], stacks[1][-1]]  # base, shared, both tops
+            rng = random.Random(seed)
+            for change in CHANGES:
+                for layer in layers:
+                    paths = [p for root in layers for p in tree_paths(root)]
+                    for view, roots in zip(views, stacks):
+                        check_coherent(view, roots, paths)
+                    done = change(layer, rng)
+                    if done is None:
+                        continue
+                    applied.add(change.__name__)
+                    paths += [p for root in layers for p in tree_paths(root)]
+                    for view, roots in zip(views, stacks):
+                        check_coherent(view, roots, paths)
+                    if change is _chmod_000:
+                        os.chmod(done, 0o755)
+                        for view, roots in zip(views, stacks):
+                            check_coherent(view, roots, paths)
+        assert applied == {change.__name__ for change in CHANGES}
+        after = diskfs.cache_counters()
+        assert after["lookup_hits"] > before["lookup_hits"]
+        assert after["lookup_misses"] > before["lookup_misses"]
+
+    def test_second_view_hits_and_one_lower_views_pass_by(self, tmp_path):
+        lower, middle, upper = three_layers(tmp_path)
+        (lower / "d").mkdir()
+        (lower / "d" / "f").write_bytes(b"f")
+        other = tmp_path / "other"
+        other.mkdir()
+        first = diskfs.cache_counters()
+        assert DiskOverlay([lower, middle], upper).read_file("/d/f") == b"f"
+        assert DiskOverlay([lower], upper).read_file("/d/f") == b"f"
+        assert DiskOverlay([lower], middle).resolve("/d/g").outcome is ResolutionKind.ABSENT
+        second = diskfs.cache_counters()
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        assert memoized([lower, middle]) == {("d", "f")}
+        assert DiskOverlay([lower, middle], other).read_file("/d/f") == b"f"
+        third = diskfs.cache_counters()
+        assert second["lookup_misses"] - first["lookup_misses"] == 1
+        assert third["lookup_hits"] - second["lookup_hits"] == 1
+        assert third["lookup_misses"] == second["lookup_misses"]
+
+    def test_unwatchable_directory_is_not_memoized(self, tmp_path):
+        lower, middle, upper = three_layers(tmp_path)
+        (lower / "d" / "sub").mkdir(parents=True)
+        (lower / "d" / "sub" / "f").write_bytes(b"f")
+        (lower / "e").write_bytes(b"e")
+        unwatchable = f"{lower}/d/"
+        watch = diskfs._CACHE.of
+        diskfs._CACHE.of = lambda key: None if key[0] == unwatchable else watch(key)
+        try:
+            view = DiskOverlay([lower, middle], upper)
+            for _ in range(2):
+                assert view.read_file("/d/sub/f") == b"f"
+                assert view.resolve("/d/sub/g").outcome is ResolutionKind.ABSENT
+                assert view.read_file("/e") == b"e"
+            if diskfs._CACHE.fd < 0:
+                pytest.skip("no inotify here: nothing is memoized")
+            assert memoized([lower, middle]) == {("e",)}
+            # d itself reports nothing: the lookups through it are walked again
+            (lower / "d").rename(lower / "d2")
+            (lower / "d" / "sub").mkdir(parents=True)
+            assert view.resolve("/d/sub/f").outcome is ResolutionKind.ABSENT
+        finally:
+            del diskfs._CACHE.of
+
+    def test_a_dropped_subtree_stales_the_roots_below_it(self, tmp_path):
+        lower, middle, upper = three_layers(tmp_path)
+        view = DiskOverlay([lower, middle], upper)
+        assert view.resolve("/g").outcome is ResolutionKind.ABSENT
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        assert memoized([lower, middle]) == {("g",)}
+        # as drain() does for an event naming tmp_path in its parent: the
+        # layers' watches go, so no event tells of the next change
+        diskfs._CACHE._drop((os.path.join(str(tmp_path), ""),))
+        (lower / "g").write_bytes(b"g")
+        assert view.read_file("/g") == b"g"
+
+    def test_queue_overflow_drops_the_memo(self, tmp_path):
+        lower, middle, upper = three_layers(tmp_path)
+        (lower / "d").mkdir()
+        (lower / "d" / "f").write_bytes(b"f")
+        view = DiskOverlay([lower, middle], upper)
+        assert view.read_file("/d/f") == b"f"
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        overflow_queue(middle)
+        diskfs._CACHE.drain()
+        assert not diskfs._CACHE.memo and not diskfs._CACHE.gens and diskfs._CACHE.memo_roots == ()
+        (lower / "d" / "f").write_bytes(b"g")
+        assert view.read_file("/d/f") == b"g"
+
+    def test_forked_child_starts_with_an_empty_memo(self, tmp_path):
+        lower, middle, upper = three_layers(tmp_path)
+        (lower / "f").write_bytes(b"f")
+        view = DiskOverlay([lower, middle], upper)
+        assert view.read_file("/f") == b"f"
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        assert memoized([lower, middle]) == {("f",)}
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            ok = False
+            try:
+                ok = not diskfs._CACHE.memo and not diskfs._CACHE.gens
+                ok = ok and view.read_file("/f") == b"f"
+                (lower / "f").unlink()
+                ok = ok and view.resolve("/f").outcome is ResolutionKind.ABSENT
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert view.resolve("/f").outcome is ResolutionKind.ABSENT
+
+    def test_the_memo_is_bounded(self, tmp_path, monkeypatch):
+        lower, middle, upper = three_layers(tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        for i in range(10):
+            (lower / f"f{i}").write_bytes(b"f")
+        monkeypatch.setattr(diskfs, "_MEMO_MAX", 4)
+        assert DiskOverlay([lower, middle], upper).read_file("/f0") == b"f"
+        view = DiskOverlay([lower, other], upper)
+        for i in range(10):
+            assert view.read_file(f"/f{i}") == b"f"
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        cache = diskfs._CACHE
+        assert len(cache.memo) == 4
+        assert memoized([lower, other]) == {(f"f{i}",) for i in range(6, 10)}  # the oldest went first
+        # no entry is left through middle: its generation went with the last one
+        prefixes = [os.path.join(str(root), "") for root in (lower, other)]
+        assert sorted(cache.gens) == sorted(cache.memo_roots) == sorted(prefixes)
+        assert cache.root_entries == dict.fromkeys(prefixes, 4)
+        (lower / "f9").unlink()
+        assert view.resolve("/f9").outcome is ResolutionKind.ABSENT
+
+
+class TestPayloadReads:
+    def test_short_reads_are_read_to_the_end(self, layers, monkeypatch):
+        lower, upper = layers
+        data = bytes(range(256)) * 40
+        (lower / "f").write_bytes(data)
+        view = DiskOverlay([lower], upper)
+        view.write_file("/w", data)
+        read, inotify = os.read, diskfs._CACHE.fd
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, n if fd == inotify else min(n, 1000)))
+        assert view.read_file("/f") == data  # looked up
+        assert view.read_file("/w") == data  # the view's own upper file
+        assert view.resolve("/f").node == RegularFile(data)
+        assert load_tree(upper).root.children["w"] == RegularFile(data)
+        (upper / "w").unlink()
+        (upper / "w").mkdir()  # os.open takes a directory; the read refuses it
+        with pytest.raises(NotADirectory):
+            view.read_file("/w")
 
 
 class TestListingCache:

@@ -282,6 +282,60 @@ class TestOracleEquivalence:
             check_list_dir_against_oracle(stackgen.random_stack(seed), seed)
 
 
+def ruled(layers, fired: list):
+    """A below for lookup over layers[:-1] that applies the rule again at
+    every depth, and records in fired (layers below, parts) of each call."""
+    lowers = layers[:-1]
+
+    def below(parts):
+        fired.append((len(lowers), parts))
+        return model.lookup(lowers, parts, ruled(lowers, fired) if len(lowers) > 1 else None)
+
+    return below
+
+
+class TestLowerStackRule:
+    """Where the top layer is transparent along a path, the path resolves as
+    through the layers below it, FOUND_UPPER relabelled FOUND_LOWER."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_rule_matches_the_walk_and_the_oracle(self, depth):
+        fired: list = []
+        transparent_hidden = 0
+        for seed in range(150):
+            s = stackgen.random_stack_n(seed, depth)
+            roots = [layer.root for layer in s.layers]
+            for path in stackgen.probe_paths(s) + ["/"]:
+                before = len(fired)
+                got = model.lookup(roots, path, ruled(roots, fired))
+                assert got == model.lookup(roots, path), (seed, path)
+                want_kind, want_payload, want_layer = oracle.expected_layer_resolution(s, path)
+                assert got.outcome is want_kind, (seed, path)
+                if got.found:
+                    assert oracle.kind_of(got.node) == want_payload and got.layer == want_layer, (seed, path)
+                transparent_hidden += len(fired) > before and got.outcome is ResolutionKind.HIDDEN
+        # the rule fired at every depth of the recursion, and on hidden paths
+        # once a delta lies below the top
+        assert {n for n, _ in fired} == set(range(1, depth))
+        assert len(fired) > 1000 and (transparent_hidden or depth == 2)
+
+    def test_below_is_asked_only_where_the_top_is_transparent(self):
+        s = LayerStack(
+            lower=stackgen.build_tree({"a": {"f": b"low"}, "b": {"g": b"low"}, "c": {"h": b"low"}}),
+            upper=stackgen.build_tree({"a": {}, "b": {"__opaque__": True}, "c": Whiteout()}),
+        )
+        roots = [layer.root for layer in s.layers]
+        fired: list = []
+        below = ruled(roots, fired)
+        assert model.lookup(roots, "/a/f", below) == model.Resolution(ResolutionKind.FOUND_LOWER, RegularFile(b"low"), 0)
+        assert model.lookup(roots, "/b/g", below).outcome is ResolutionKind.HIDDEN
+        assert model.lookup(roots, "/c/h", below).outcome is ResolutionKind.HIDDEN
+        assert model.lookup(roots, "/a", below).outcome is ResolutionKind.FOUND_UPPER
+        assert model.lookup(roots, "/", below).outcome is ResolutionKind.FOUND_UPPER
+        assert model.lookup(roots, "/d", below).outcome is ResolutionKind.ABSENT
+        assert fired == [(1, ("a", "f")), (1, ("d",))]
+
+
 class TestThreeLayers:
     """A node view: base, a marker-carrying shared delta, a scratch top."""
 

@@ -9,7 +9,8 @@ perfbench.  For each seed, `python3 perfbench/run.py --workload W --seed N`
 runs once in each checkout, the two sides taking turns at running first.
 Each checkout runs its own sources and its own copy of perfbench.  Then
 one more run per side, of the first seed, is made in process and records
-`cue.diskfs.cache_counters()` (null where the checkout has none).
+`cue.diskfs.cache_counters()` (null where the checkout has none), with a
+<prefix>hit_ratio for each <prefix>hits and <prefix>misses pair.
 
 The record of each RUN keeps every run, and for each end-to-end metric of
 BENCHMARK.json (the change's copy) each side's median and quartiles
@@ -94,12 +95,19 @@ def counters_once(checkout: Path, args: list[str]) -> dict | None:
     done = subprocess.run([sys.executable, "-c", _COUNTERS_RUN, *args], cwd=checkout,
                           capture_output=True, text=True)
     counters = last_json(done.stdout, f"the counters run in {checkout}")
-    if counters is not None:
-        for name in ("", "listing_"):
-            hits, misses = counters.get(name + "hits", 0), counters.get(name + "misses", 0)
-            if hits + misses:
-                counters[name + "hit_ratio"] = round(hits / (hits + misses), 4)
-    return counters
+    return None if counters is None else with_hit_ratios(counters)
+
+
+def with_hit_ratios(counters: dict) -> dict:
+    """counters plus <prefix>hit_ratio for each <prefix>hits and <prefix>misses pair."""
+    ratios = {}
+    for name, hits in counters.items():
+        prefix = name.removesuffix("hits")
+        if prefix != name and prefix + "misses" in counters:
+            total = hits + counters[prefix + "misses"]
+            if total:
+                ratios[prefix + "hit_ratio"] = round(hits / total, 4)
+    return {**counters, **ratios}
 
 
 def summary(values: list[float]) -> dict[str, float]:
