@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -209,6 +210,17 @@ def _kind(args) -> str:
     return "RootSandbox" if getattr(args, "root_sandbox", False) else "User"
 
 
+def _named_user(args, form: str) -> str:
+    """The user enter or destroy names; with --root-sandbox it must be the
+    sandbox's, so the first word of a command is never taken for it."""
+    if args.root_sandbox and args.user != ROOT_SANDBOX_USER:
+        raise InvalidConfig(
+            "user", f"{args.user!r} with --root-sandbox; the form is "
+            f"`cue {args.command} --root-sandbox {ROOT_SANDBOX_USER} {form}`"
+        )
+    return args.user
+
+
 def _recover_commits(registry: Registry) -> None:
     """Finish or abort a commit a dead process left before a root sandbox
     opens: the replay clears the sandbox's upper layer, so it must not
@@ -255,7 +267,7 @@ def cmd_create(args) -> int:
 def cmd_enter(args) -> int:
     registry = Registry(_state_root(args))
     kind = _kind(args)
-    user = ROOT_SANDBOX_USER if args.root_sandbox else args.user
+    user = _named_user(args, "-- CMD")
     command = tuple(_split_remainder(args.run_args))
     record = registry.lookup(user, kind)
     if record is None:
@@ -304,15 +316,22 @@ def cmd_deploy(args) -> int:
     registry = Registry(_state_root(args))
     shared = cluster_mod.SharedLayout(Path(_shared_root(args)))
     nodes = cluster_mod.load_manifest(args.nodes)
-    result = cluster_mod.deploy_job(
-        args.user,
-        nodes,
-        shared=shared,
-        registry=registry,
-        pre_hook=args.pre_hook,
-        post_hook=args.post_hook,
-    )
+    try:
+        result = cluster_mod.deploy_job(
+            args.user, nodes, shared=shared, registry=registry, pre_hook=args.pre_hook
+        )
+    except subprocess.CalledProcessError as err:
+        print(f"cue: pre-hook {err.cmd!r} exited with status {err.returncode}; "
+              "no node was attached", file=sys.stderr)
+        return 11
     _print_nodes(result, args.format)
+    try:  # after the nodes are printed: they stay attached whatever it does
+        cluster_mod.run_hook(args.post_hook)
+    except subprocess.CalledProcessError as err:
+        print(f"cue: post-hook {err.cmd!r} exited with status {err.returncode}; the nodes "
+              f"are attached: `cue release {args.user} --nodes {args.nodes}` releases them",
+              file=sys.stderr)
+        return 11
     return 11 if any(n.status == "Failed" for n in result.per_node) else 0
 
 
@@ -427,7 +446,7 @@ def cmd_destroy(args) -> int:
         return 2
     registry = Registry(_state_root(args))
     kind = _kind(args)
-    user = ROOT_SANDBOX_USER if args.root_sandbox else args.user
+    user = _named_user(args, "--yes")
     record = registry.lookup(user, kind)
     if record is None:
         raise NotFound(f"no such container: {kind}/{user}")

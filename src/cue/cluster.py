@@ -45,6 +45,7 @@ __all__ = [
     "deploy_job",
     "release_job",
     "node_view",
+    "run_hook",
 ]
 
 SHARED_ROOT_ENV = "CUE_SHARED_ROOT"
@@ -178,8 +179,9 @@ def login_view(user: str, login_node: NodeHandle, *, shared: SharedLayout) -> Di
     return view_for({**load_meta(shared.work(user)), "lowers": [login_node.node_root]})
 
 
-def _run_hook(hook: Optional[str]) -> None:
-    # job-manager integration is a shell-out, not a scheduler plugin
+def run_hook(hook: Optional[str]) -> None:
+    """Run a deploy hook through the shell; CalledProcessError if it fails
+    (job-manager integration is a shell-out, not a scheduler plugin)."""
     if hook:
         subprocess.run(hook, shell=True, check=True)
 
@@ -202,16 +204,19 @@ def deploy_job(
         raise SharedStorageUnavailable(str(shared.shared_root))
     if not upper.is_dir():
         raise NotFound(f"no shared upper layer for user {user!r}")
-    _run_hook(pre_hook)
+    run_hook(pre_hook)
     statuses: list[NodeStatus] = []
     for node in nodes:
         t0 = _now_us()
+        made = None  # the node directory, once this call has made it
         try:
             node.validate()
             deploy = _deploy_dir(registry.state_root, user, node.node_id)
             if (deploy / "attachment.json").exists():
                 raise NotFound(f"node {node.node_id} already attached")
-            (deploy / "scratch").mkdir(parents=True)
+            deploy.mkdir(parents=True)
+            made = deploy
+            (deploy / "scratch").mkdir()
             (deploy / "merged").mkdir()
             attachment = {
                 "user": user,
@@ -228,10 +233,12 @@ def deploy_job(
                 NodeStatus(node.node_id, "Attached", elapsed_us=_now_us() - t0)
             )
         except Exception as err:  # per-node isolation: never abort the rest
+            if made is not None:  # a half-made node directory would refuse every retry
+                shutil.rmtree(made, ignore_errors=True)
             statuses.append(
                 NodeStatus(node.node_id, "Failed", str(err), _now_us() - t0)
             )
-    _run_hook(post_hook)
+    run_hook(post_hook)
     return DeploymentResult(per_node=tuple(statuses))
 
 

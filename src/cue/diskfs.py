@@ -30,15 +30,15 @@ replaced by a symlink.
 A view over two or more lowers (a compute node's) resolves a path its
 top layer is transparent along (model.lookup's rule) through a memo of
 lookups through its lower stack, shared by every view with the same
-lowers.  Each memoized lower root has a generation, and each memo entry
-holds its roots' generations when it was stored: an event in any
-directory under a root bumps its generation, a queue overflow or a fork
-drops the memo, and a lookup that read a directory outside the cache (it
-could not be watched) is never stored.  The memo keeps at most _MEMO_MAX
-entries, oldest out first; an eviction from the entry cache, if one is
-ever added, must bump the generations of the roots it evicts under, or
-the memo would outlive the events it relies on.  Over one lower the memo
-key costs as much as the walk, so those views walk.  Writes, removes and
+lowers.  The memo is forgotten whole when an event names a directory
+under any memoized lower root, when a dropped subtree is at, above or
+below one (its watch may go with it), when it would pass _MEMO_MAX
+entries, on a queue overflow and on a fork; a lookup that read a
+directory outside the cache (it could not be watched) is never stored.
+An eviction from the entry cache, if one is ever added, must forget the
+memo when it evicts at, above or below a memoized root, or the memo
+would outlive the events it relies on.  Over one lower the memo key
+costs as much as the walk, so those views walk.  Writes, removes and
 listings always walk.
 Writes take the same lazy layers: the model plans each write, remove or
 copy-up as a short list of edits to the upper layer (put an empty
@@ -133,13 +133,9 @@ class _EntryCache:
         self.dirs: dict[tuple[str, bool], tuple[int, dict[str, Any]]] = {}
         self.keys: dict[int, set[tuple[str, bool]]] = {}  # wd -> the keys it serves
         self.order: list[tuple[str, bool]] = []  # the keys of dirs, sorted: a subtree is a slice
-        # (lower-root prefixes, path components) -> (Resolution through those lowers,
-        # the roots' generations when it was stored), oldest first
-        self.memo: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[Resolution, tuple[int, ...]]] = {}
-        self.gens: dict[str, int] = {}  # root prefix -> its generation, for roots memoized since their last event
-        self.root_entries: dict[str, int] = {}  # root prefix -> the memo entries through it
-        self.memo_roots: tuple[str, ...] = ()  # the keys of gens: one startswith per event key
-        self.generation = 0  # the last generation handed out; none is handed out twice
+        # (lower-root prefixes, path components) -> Resolution through those lowers
+        self.memo: dict[tuple[tuple[str, ...], tuple[str, ...]], Resolution] = {}
+        self.memo_roots: tuple[str, ...] = ()  # the roots of memo entries: one startswith per event key
         self.unwatched = 0  # child lookups and opaque flags read outside the cache
         self.hits = self.misses = self.listing_hits = self.listing_misses = 0
         self.lookup_hits = self.lookup_misses = 0
@@ -157,8 +153,6 @@ class _EntryCache:
 
     def _forget_memo(self) -> None:
         self.memo.clear()
-        self.gens.clear()
-        self.root_entries.clear()
         self.memo_roots = ()
 
     def of(self, key: tuple[str, bool]) -> Optional[dict[str, Any]]:
@@ -209,7 +203,7 @@ class _EntryCache:
                     return self.reset()
                 for prefix, aware in self.keys.pop(wd, ()) if mask & _IN_IGNORED else self.keys.get(wd, ()):
                     if prefix.startswith(self.memo_roots):
-                        self._stale(prefix)
+                        self._forget_memo()
                     if not name:  # the directory itself
                         doomed.append(prefix)
                         continue
@@ -225,64 +219,34 @@ class _EntryCache:
             if doomed:
                 self._drop(tuple(doomed))
 
-    def _stale(self, prefix: str) -> None:
-        """Bump the generation of each memoized root at, above or below a
-        changed or dropped directory: its generation is dropped, and a later
-        store hands out a new one, so every memo entry stamped with the old
-        one is stale."""
-        for root in self.memo_roots:
-            if prefix.startswith(root) or root.startswith(prefix):
-                del self.gens[root]
-        self.memo_roots = tuple(self.gens)
-
     def resolved(self, roots: tuple[str, ...], layers: Sequence[Directory], parts: tuple[str, ...]) -> Resolution:
         """model.lookup(layers, parts) through lower layer directories whose
-        prefixes are roots: from the memo while no event has named a
-        directory under any of those roots since the entry was stored.  A
-        lookup that read anything outside the cache is not stored: no event
-        would tell of its change."""
+        prefixes are roots, from the memo if it holds it.  A lookup that read
+        anything outside the cache is not stored: no event would tell of its
+        change."""
         key = (roots, parts)
-        held = self.memo.get(key)
-        if held is not None and held[1] == tuple(map(self.gens.get, roots)):
+        res = self.memo.get(key)
+        if res is not None:
             self.lookup_hits += 1
-            return held[0]
+            return res
         self.lookup_misses += 1
         unwatched = self.unwatched
         res = model.lookup(layers, parts)
         if self.unwatched == unwatched:
-            self._store(key, res)
+            if len(self.memo) >= _MEMO_MAX:
+                self._forget_memo()
+            self.memo[key] = res
+            self.memo_roots += tuple(root for root in roots if root not in self.memo_roots)
         return res
-
-    def _store(self, key: tuple[tuple[str, ...], tuple[str, ...]], res: Resolution) -> None:
-        """Memoize res as the newest entry, stamped with its roots' generations,
-        a new one for each root without; past _MEMO_MAX the oldest goes."""
-        memo, gens, entries = self.memo, self.gens, self.root_entries
-        roots = key[0]
-        if memo.pop(key, None) is None:
-            while len(memo) >= _MEMO_MAX:
-                oldest = next(iter(memo))
-                del memo[oldest]
-                for root in oldest[0]:
-                    entries[root] -= 1
-                    if not entries[root]:  # no entry left to stamp: its generation goes
-                        del entries[root]
-                        gens.pop(root, None)
-            for root in roots:
-                entries[root] = entries.get(root, 0) + 1
-        for root in roots:
-            if root not in gens:
-                self.generation += 1
-                gens[root] = self.generation
-        self.memo_roots = tuple(gens)
-        memo[key] = (res, tuple(map(gens.get, roots)))
 
     def _drop(self, prefixes: tuple[str, ...]) -> None:
         """Drop every cached directory under prefixes, and watches left idle;
-        a memoized root below one of them goes stale, as its watch may go."""
+        the memo is forgotten if a memoized root is at, above or below one
+        of them, as the root's watch may go."""
         self.subtree_drops += len(prefixes)
         for prefix in prefixes:  # every key below prefix ("x/") sorts before "x0"
-            if self.memo_roots:
-                self._stale(prefix)
+            if prefix.startswith(self.memo_roots) or any(root.startswith(prefix) for root in self.memo_roots):
+                self._forget_memo()
             lo = bisect.bisect_left(self.order, (prefix,))
             hi = bisect.bisect_left(self.order, (prefix[:-1] + "0",), lo)
             for key in self.order[lo:hi]:

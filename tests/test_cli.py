@@ -188,6 +188,21 @@ class TestEnter:
             assert (host / "etc" / "new.conf").read_bytes() == b"v1"
 
 
+    @pytest.mark.parametrize("command", [["/bin/echo", "hi"], ["/bin/sh"]])
+    def test_root_sandbox_refuses_another_user(self, env, host, tmp_path, command):
+        # without the user, the command's first word would be taken for it
+        assert run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])[0] == 0
+        transcript = tmp_path / "state" / "volumes" / "rootsandbox" / "root-sandbox" / "work" / "transcript.txt"
+        created = transcript.read_text()
+        code, out, err = run_cli(env + ["enter", "--root-sandbox", "--", *command])
+        assert code == 2, err
+        assert "cue enter --root-sandbox root-sandbox -- CMD" in err and out == ""
+        assert transcript.read_text() == created  # nothing ran
+        code, _, err = run_cli(env + ["enter", "--root-sandbox", "root-sandbox", "--", *command])
+        assert code == 0, err
+        assert " ".join(command) in transcript.read_text()
+
+
 class TestCommitFlow:
     def test_commit_without_sandbox(self, env):
         code, _, err = run_cli(env + ["commit", "--sandbox-of-root"])
@@ -386,6 +401,26 @@ class TestDeployRelease:
         assert out.count("Failed (") == 4 and "Permission denied" in out
 
 
+    def test_failing_pre_hook(self, cluster_env):
+        argv, manifest = cluster_env
+        code, out, err = run_cli(argv + ["deploy", "alice", "--nodes", str(manifest),
+                                         "--pre-hook", "exit 3"])
+        assert code == 11 and out == ""
+        assert err == "cue: pre-hook 'exit 3' exited with status 3; no node was attached\n"
+        code, out, _ = run_cli(argv + ["release", "alice", "--nodes", str(manifest)])
+        assert code == 3 and out.count("NotFound") == 4
+
+    def test_failing_post_hook(self, cluster_env):
+        argv, manifest = cluster_env
+        code, out, err = run_cli(argv + ["deploy", "alice", "--nodes", str(manifest),
+                                         "--post-hook", "false"])
+        assert code == 11 and out.count("Attached") == 4
+        assert err.count("\n") == 1 and "post-hook 'false' exited with status 1" in err
+        assert "the nodes are attached" in err and "cue release alice" in err
+        code, out, _ = run_cli(argv + ["release", "alice", "--nodes", str(manifest)])
+        assert code == 0 and out.count("Released") == 4
+
+
 class TestPolicyDump:
     def test_matches_frozen_table(self):
         code, out, _ = run_cli(["policy", "dump"])
@@ -444,6 +479,13 @@ class TestDestroy:
         assert not (tmp_path / "state" / "volumes" / "user" / "alice" / "upper").exists()
         _, out, _ = run_cli(env + ["list"])
         assert "alice" not in out
+
+    def test_destroy_root_sandbox_refuses_another_user(self, env, host):
+        assert run_cli(env + ["create", "--root-sandbox", "--host-root", str(host)])[0] == 0
+        code, _, err = run_cli(env + ["destroy", "--root-sandbox", "alice", "--yes"])
+        assert code == 2 and "cue destroy --root-sandbox root-sandbox --yes" in err
+        assert "RootSandbox" in run_cli(env + ["list"])[1]
+        assert run_cli(env + ["destroy", "--root-sandbox", "root-sandbox", "--yes"])[0] == 0
 
     def test_destroy_unknown(self, env):
         code, _, _ = run_cli(env + ["destroy", "ghost", "--yes"])

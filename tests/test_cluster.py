@@ -1,3 +1,4 @@
+import errno
 import json
 import time
 
@@ -119,6 +120,35 @@ class TestDeployJob:
         statuses = [n.status for n in result.per_node]
         assert statuses == ["Attached", "Failed", "Attached"]
         assert [n.node_id for n in result.per_node] == ["compute-0", "broken", "compute-1"]
+
+    def test_failed_deploy_leaves_nothing_behind(self, world, monkeypatch):
+        shared, registry, login, computes = world
+        attach_login("alice", login, shared=shared, registry=registry)
+        write_text = cluster.Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.name == "attachment.json":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.Path, "write_text", full_disk)
+        failed = deploy_job("alice", computes[:1], shared=shared, registry=registry)
+        assert failed.per_node[0].status == "Failed" and "No space left" in failed.per_node[0].detail
+        deploy = cluster._deploy_dir(registry.state_root, "alice", computes[0].node_id)
+        assert not deploy.exists()
+        monkeypatch.undo()
+        retried = deploy_job("alice", computes[:1], shared=shared, registry=registry)
+        assert [n.status for n in retried.per_node] == ["Attached"]
+        released = release_job("alice", computes[:1], registry=registry)
+        assert [n.status for n in released.per_node] == ["Released"]
+        assert not deploy.exists()
+
+    def test_second_deploy_keeps_the_attachment(self, world):
+        shared, registry, computes, _ = self.deploy_with_customization(world)
+        again = deploy_job("alice", computes[:1], shared=shared, registry=registry)
+        assert again.per_node[0].status == "Failed" and "already attached" in again.per_node[0].detail
+        view = cluster.node_view("alice", computes[0], registry=registry)
+        assert view.read_file("/lib/libmine.so") == b"custom build"
 
     def test_unknown_user(self, world):
         shared, registry, _, computes = world

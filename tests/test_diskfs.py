@@ -1067,7 +1067,7 @@ class TestLowerStackMemo:
             pytest.skip("no inotify here: nothing is memoized")
         overflow_queue(middle)
         diskfs._CACHE.drain()
-        assert not diskfs._CACHE.memo and not diskfs._CACHE.gens and diskfs._CACHE.memo_roots == ()
+        assert not diskfs._CACHE.memo and diskfs._CACHE.memo_roots == ()
         (lower / "d" / "f").write_bytes(b"g")
         assert view.read_file("/d/f") == b"g"
 
@@ -1083,7 +1083,7 @@ class TestLowerStackMemo:
         if pid == 0:  # the child reports through its exit status only
             ok = False
             try:
-                ok = not diskfs._CACHE.memo and not diskfs._CACHE.gens
+                ok = not diskfs._CACHE.memo and diskfs._CACHE.memo_roots == ()
                 ok = ok and view.read_file("/f") == b"f"
                 (lower / "f").unlink()
                 ok = ok and view.resolve("/f").outcome is ResolutionKind.ABSENT
@@ -1100,6 +1100,7 @@ class TestLowerStackMemo:
         for i in range(10):
             (lower / f"f{i}").write_bytes(b"f")
         monkeypatch.setattr(diskfs, "_MEMO_MAX", 4)
+        diskfs._CACHE._forget_memo()  # earlier tests' entries would count toward the bound
         assert DiskOverlay([lower, middle], upper).read_file("/f0") == b"f"
         view = DiskOverlay([lower, other], upper)
         for i in range(10):
@@ -1107,14 +1108,37 @@ class TestLowerStackMemo:
         if diskfs._CACHE.fd < 0:
             pytest.skip("no inotify here: nothing is memoized")
         cache = diskfs._CACHE
-        assert len(cache.memo) == 4
-        assert memoized([lower, other]) == {(f"f{i}",) for i in range(6, 10)}  # the oldest went first
-        # no entry is left through middle: its generation went with the last one
+        # full at f3 and at f7: each time the whole memo was forgotten, middle's entry too
+        assert memoized([lower, other]) == {("f7",), ("f8",), ("f9",)} and len(cache.memo) == 3
         prefixes = [os.path.join(str(root), "") for root in (lower, other)]
-        assert sorted(cache.gens) == sorted(cache.memo_roots) == sorted(prefixes)
-        assert cache.root_entries == dict.fromkeys(prefixes, 4)
+        assert sorted(cache.memo_roots) == sorted(prefixes)
         (lower / "f9").unlink()
-        assert view.resolve("/f9").outcome is ResolutionKind.ABSENT
+        (lower / "f0").write_bytes(b"g")
+        check_coherent(view, [lower, other, upper], [f"/f{i}" for i in range(10)])
+
+    def test_a_change_under_one_upper_forgets_every_stack(self, tmp_path):
+        base, alice, bob = (tmp_path / name for name in ("base", "alice", "bob"))
+        (base / "d").mkdir(parents=True)
+        (base / "d" / "f").write_bytes(b"base")
+        (alice / "d").mkdir(parents=True)
+        bob.mkdir()
+        stacks = [[base, alice, tmp_path / "scratch-a"], [base, bob, tmp_path / "scratch-b"]]
+        for roots in stacks:
+            roots[-1].mkdir()
+        views = [DiskOverlay(roots[:-1], roots[-1]) for roots in stacks]
+        paths = ["/d", "/d/f", "/d/g", "/g"]
+        for view, roots in zip(views, stacks):
+            check_coherent(view, roots, paths)
+        if diskfs._CACHE.fd < 0:
+            pytest.skip("no inotify here: nothing is memoized")
+        assert memoized([base, alice]) and memoized([base, bob])
+        (alice / "d" / "g").write_bytes(b"alice")
+        diskfs._CACHE.drain()
+        assert not memoized([base, alice]) and not memoized([base, bob])
+        for view, roots in zip(views, stacks):
+            check_coherent(view, roots, paths)
+        assert views[0].read_file("/d/g") == b"alice"
+        assert views[1].resolve("/d/g").outcome is ResolutionKind.ABSENT
 
 
 class TestPayloadReads:
